@@ -13,9 +13,7 @@ from .cost import (
     CommModel,
     CostProfile,
     compose_batch_cost,
-    compose_from_proportion,
     load_cost_profiles,
-    offload_count,
 )
 from .errors import CoinferError, ConfigError, ProtocolError, TransportError
 from .harness import (
@@ -36,13 +34,9 @@ from .partition import (
 )
 from .router import (
     CollabOutcome,
-    Local,
-    Offload,
     collaborative_infer,
     compute_routing_primitives,
     offload_proportion_curve,
-    refine,
-    route_sample,
 )
 from .schedule import (
     DistillBatch,
@@ -56,11 +50,9 @@ from .trace import (
     TraceTargets,
     load_trace_set,
     recall_gap,
-    softmax_row,
     synthesize_trace,
     synthesize_trace_set,
     topk_accuracy,
-    topk_indices,
     write_trace_set,
 )
 from .wire import (
@@ -85,9 +77,7 @@ __all__ = [
     "DistillBatch",
     "DomainSet",
     "ErrorMsg",
-    "Local",
     "NearEdgeServer",
-    "Offload",
     "OffloadRequest",
     "OffloadResponse",
     "PartitionMap",
@@ -102,7 +92,6 @@ __all__ = [
     "baseline_costs",
     "collaborative_infer",
     "compose_batch_cost",
-    "compose_from_proportion",
     "compute_routing_primitives",
     "decode",
     "domain_of_topk",
@@ -114,19 +103,14 @@ __all__ = [
     "load_partition_map",
     "load_report",
     "load_trace_set",
-    "offload_count",
     "offload_proportion_curve",
     "recall_gap",
-    "refine",
     "roi_ratios",
-    "route_sample",
     "run_edge_client",
     "run_sweep",
-    "softmax_row",
     "synthesize_trace",
     "synthesize_trace_set",
     "topk_accuracy",
-    "topk_indices",
     "weighted_distill_loss",
     "write_trace_set",
 ]

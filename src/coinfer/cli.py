@@ -8,7 +8,6 @@ runtime error.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from pathlib import Path
 
@@ -21,7 +20,7 @@ from .data import (
     builtin_partition_names,
     load_builtin_partitions,
 )
-from .errors import CoinferError, ConfigError
+from .errors import CoinferError, ConfigError, read_json
 from .harness import SweepConfig, emit_report, run_sweep
 from .partition import PartitionMap, load_partition_map
 from .router import collaborative_infer
@@ -72,13 +71,7 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_sweep(args) -> int:
     if args.config:
-        try:
-            doc = json.loads(Path(args.config).read_text(encoding="utf-8"))
-        except OSError as exc:
-            raise ConfigError(f"cannot read sweep config {args.config}: {exc}") from exc
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"sweep config {args.config} is not valid JSON: {exc}") from exc
-        cfg = SweepConfig.from_mapping(doc)
+        cfg = SweepConfig.from_mapping(read_json(args.config, "sweep config"))
     else:
         required = ("taus", "k", "partitions", "manifest", "profiles",
                     "edge_device", "edge_model", "near_device", "near_model")
@@ -186,8 +179,7 @@ def _cmd_validate(args) -> int:
         print(f"OK profiles: {len(profiles)} device/model pairs")
         checked = True
     if args.sweep_config:
-        doc = json.loads(Path(args.sweep_config).read_text(encoding="utf-8"))
-        SweepConfig.from_mapping(doc)
+        SweepConfig.from_mapping(read_json(args.sweep_config, "sweep config"))
         print("OK sweep config")
         checked = True
     if not checked:

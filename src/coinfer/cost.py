@@ -10,15 +10,13 @@ communication term.
 
 from __future__ import annotations
 
-import json
-import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping, Sequence
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, read_json
 from .partition import DomainSet
 
 __all__ = [
@@ -26,8 +24,6 @@ __all__ = [
     "CommModel",
     "BatchCost",
     "compose_batch_cost",
-    "compose_from_proportion",
-    "offload_count",
     "load_cost_profiles",
 ]
 
@@ -200,39 +196,6 @@ def compose_batch_cost(
     )
 
 
-def offload_count(batch_size: int, offload_proportion: float) -> int:
-    """Offloaded sample count implied by a proportion, rounded up.
-
-    A small epsilon keeps near-integer products (for example
-    1000 x 0.462 in binary floating point) from being bumped to the
-    next integer by the ceiling.
-    """
-    if not 0.0 <= offload_proportion <= 1.0:
-        raise ValueError(f"offload proportion must lie in [0,1], got {offload_proportion}")
-    return math.ceil(batch_size * offload_proportion - 1e-9) if offload_proportion else 0
-
-
-def compose_from_proportion(
-    batch_size: int,
-    offload_proportion: float,
-    edge_profile: CostProfile | None,
-    near_profile: CostProfile,
-    comm: CommModel = CommModel(),
-) -> BatchCost:
-    """Analytic batch cost when only the offload proportion is known.
-
-    Uses :func:`offload_count` and a single near-edge call (the
-    per-expert split is unknown without a histogram, so this is the
-    monolithic formulation by construction).
-    """
-    b_off = offload_count(batch_size, offload_proportion)
-    hist = {DomainSet.of([1]): b_off} if b_off else {}
-    return compose_batch_cost(
-        batch_size, hist, edge_profile,
-        near_profile=near_profile, comm=comm, aggregation="monolithic",
-    )
-
-
 def load_cost_profiles(source: str | Path | Mapping) -> dict[tuple[str, str], CostProfile]:
     """Parse a cost profile document into profiles keyed by (device, model).
 
@@ -240,13 +203,7 @@ def load_cost_profiles(source: str | Path | Mapping) -> dict[tuple[str, str], Co
     or ``power_w``; power is converted at load time (mJ = W x ms).
     """
     if isinstance(source, (str, Path)):
-        path = Path(source)
-        try:
-            doc = json.loads(path.read_text(encoding="utf-8"))
-        except OSError as exc:
-            raise ConfigError(f"cannot read cost profile document {path}: {exc}") from exc
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"cost profile document {path} is not valid JSON: {exc}") from exc
+        doc = read_json(source, "cost profile document")
     else:
         doc = source
     if not isinstance(doc, Mapping) or "profiles" not in doc:

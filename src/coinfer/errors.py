@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import json
+from pathlib import Path
+
 
 class CoinferError(Exception):
     """Base class for all package-specific errors."""
@@ -26,3 +29,18 @@ class ProtocolError(CoinferError):
 
 class TransportError(CoinferError):
     """Network-level failure (connect, timeout, premature close)."""
+
+
+def read_json(path: str | Path, what: str):
+    """Parse the JSON file at ``path``.
+
+    A file that cannot be read or parsed raises ConfigError, naming the
+    file as ``what`` and its path.
+    """
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return json.load(fh)
+    except OSError as exc:
+        raise ConfigError(f"cannot read {what} {path}: {exc}") from exc
+    except ValueError as exc:  # JSONDecodeError, or bytes that are not UTF-8
+        raise ConfigError(f"{what} {path} is not valid JSON: {exc}") from exc

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from operator import attrgetter
 from pathlib import Path
 from typing import Mapping
 
@@ -24,7 +25,7 @@ from .cost import (
     load_cost_profiles,
 )
 from .data import load_builtin_partitions, builtin_device_profiles
-from .errors import ConfigError
+from .errors import ConfigError, read_json
 from .partition import DomainSet, PartitionMap, load_partition_map
 from .router import apply_gate, compute_routing_primitives
 from .trace import TraceSet, load_trace_set, shuffle_trace_set, topk_accuracy
@@ -325,28 +326,23 @@ def run_sweep(
 
     rows = []
     for tau in cfg.thresholds:
-        try:
-            outcome = apply_gate(primitives, ts.labels, tau)
-            total = ZERO_COST
-            start = 0
-            for b in sizes:
-                hist: dict[DomainSet, int] = {}
-                for i in range(start, start + b):
-                    if outcome.offloaded[i]:
-                        dom = outcome.domains[i]
-                        hist[dom] = hist.get(dom, 0) + 1
-                total = total + compose_batch_cost(
-                    b, hist, edge_prof,
-                    near_profile=near_prof,
-                    expert_profiles=expert_profs,
-                    comm=cfg.comm,
-                    aggregation=cfg.aggregation,
-                )
-                start += b
-        except ConfigError:
-            raise
-        except Exception as exc:
-            raise RuntimeError(f"sweep failed at threshold {tau}: {exc}") from exc
+        outcome = apply_gate(primitives, ts.labels, tau)
+        total = ZERO_COST
+        start = 0
+        for b in sizes:
+            hist: dict[DomainSet, int] = {}
+            for i in range(start, start + b):
+                if outcome.offloaded[i]:
+                    dom = outcome.domains[i]
+                    hist[dom] = hist.get(dom, 0) + 1
+            total = total + compose_batch_cost(
+                b, hist, edge_prof,
+                near_profile=near_prof,
+                expert_profiles=expert_profs,
+                comm=cfg.comm,
+                aggregation=cfg.aggregation,
+            )
+            start += b
 
         lat_roi, en_roi = roi_ratios(
             outcome.accuracy, edge_base.accuracy,
@@ -408,15 +404,59 @@ def _hist_str(hist: Mapping[DomainSet, int]) -> str:
     return ";".join(f"{d.label}:{hist[d]}" for d in sorted(hist))
 
 
-_CSV_COLUMNS = (
-    "tau", "alpha", "accuracy", "offload_count",
+_COST_FIELDS = (
     "t_edge_ms", "t_near_ms", "t_comm_ms", "t_total_ms",
     "e_edge_mj", "e_near_mj", "e_comm_mj", "e_total_mj",
-    "t_per_batch_ms", "e_per_batch_mj",
-    "acc_to_latency_per_ms", "acc_to_energy_per_mj",
-    "latency_vs_baseline", "energy_vs_baseline",
-    "offload_histogram",
 )
+
+# Per-threshold report fields in CSV column order, each with the SweepRow
+# attribute it reads. The JSON report nests the cost terms as "cost",
+# preceded by "num_batches", which the CSV leaves out.
+_ROW_FIELDS = (
+    ("tau", "threshold"),
+    ("alpha", "alpha"),
+    ("accuracy", "accuracy"),
+    ("offload_count", "offload_count"),
+    *((name, f"cost.{name}") for name in _COST_FIELDS),
+    ("t_per_batch_ms", "t_per_batch_ms"),
+    ("e_per_batch_mj", "e_per_batch_mj"),
+    ("acc_to_latency_per_ms", "acc_to_latency_per_ms"),
+    ("acc_to_energy_per_mj", "acc_to_energy_per_mj"),
+    ("latency_vs_baseline", "latency_vs_baseline"),
+    ("energy_vs_baseline", "energy_vs_baseline"),
+    ("offload_histogram", "histogram"),
+)
+
+
+def _row_fields(row: SweepRow) -> dict:
+    """One sweep row's report fields, unformatted, in CSV column order."""
+    return {name: attrgetter(attr)(row) for name, attr in _ROW_FIELDS}
+
+
+def _csv_row(row: SweepRow) -> str:
+    return ",".join(
+        _hist_str(value) if name == "offload_histogram" else _fmt(value)
+        for name, value in _row_fields(row).items()
+    )
+
+
+def _cost_obj(cost: BatchCost) -> dict:
+    return {name: _num(getattr(cost, name)) for name in _COST_FIELDS}
+
+
+def _json_row(row: SweepRow) -> dict:
+    """The JSON report's row: :func:`_row_fields` with the cost terms nested."""
+    doc: dict = {}
+    for name, value in _row_fields(row).items():
+        if name in _COST_FIELDS:
+            if "cost" not in doc:
+                doc["num_batches"] = row.num_batches
+                doc["cost"] = _cost_obj(row.cost)
+        elif name == "offload_histogram":
+            doc[name] = {d.label: value[d] for d in sorted(value)}
+        else:
+            doc[name] = _num(value)
+    return doc
 
 
 def _baseline_comment(name: str, row: BaselineRow) -> str:
@@ -448,46 +488,9 @@ def emit_report(result: SweepResult, out_base: str | Path) -> tuple[Path, Path]:
     ]
     for name in _BASELINE_NAMES:
         lines.append(_baseline_comment(name, result.baselines[name]))
-    lines.append(",".join(_CSV_COLUMNS))
-    for row in result.rows:
-        lines.append(
-            ",".join(
-                (
-                    _fmt(row.threshold),
-                    _fmt(row.alpha),
-                    _fmt(row.accuracy),
-                    str(row.offload_count),
-                    _fmt(row.cost.t_edge_ms),
-                    _fmt(row.cost.t_near_ms),
-                    _fmt(row.cost.t_comm_ms),
-                    _fmt(row.cost.t_total_ms),
-                    _fmt(row.cost.e_edge_mj),
-                    _fmt(row.cost.e_near_mj),
-                    _fmt(row.cost.e_comm_mj),
-                    _fmt(row.cost.e_total_mj),
-                    _fmt(row.t_per_batch_ms),
-                    _fmt(row.e_per_batch_mj),
-                    _fmt(row.acc_to_latency_per_ms),
-                    _fmt(row.acc_to_energy_per_mj),
-                    _fmt(row.latency_vs_baseline),
-                    _fmt(row.energy_vs_baseline),
-                    _hist_str(row.histogram),
-                )
-            )
-        )
+    lines.append(",".join(name for name, _ in _ROW_FIELDS))
+    lines.extend(_csv_row(row) for row in result.rows)
     csv_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-
-    def cost_obj(cost: BatchCost) -> dict:
-        return {
-            "t_edge_ms": _num(cost.t_edge_ms),
-            "t_near_ms": _num(cost.t_near_ms),
-            "t_comm_ms": _num(cost.t_comm_ms),
-            "t_total_ms": _num(cost.t_total_ms),
-            "e_edge_mj": _num(cost.e_edge_mj),
-            "e_near_mj": _num(cost.e_near_mj),
-            "e_comm_mj": _num(cost.e_comm_mj),
-            "e_total_mj": _num(cost.e_total_mj),
-        }
 
     doc = {
         "schema_version": SCHEMA_VERSION,
@@ -526,32 +529,13 @@ def emit_report(result: SweepResult, out_base: str | Path) -> tuple[Path, Path]:
                 "alpha": _num(row.alpha),
                 "accuracy": _num(row.accuracy),
                 "num_batches": row.num_batches,
-                "cost": cost_obj(row.cost),
+                "cost": _cost_obj(row.cost),
                 "t_per_batch_ms": _num(row.t_per_batch_ms),
                 "e_per_batch_mj": _num(row.e_per_batch_mj),
             }
             for name, row in sorted(result.baselines.items())
         },
-        "rows": [
-            {
-                "tau": _num(row.threshold),
-                "alpha": _num(row.alpha),
-                "accuracy": _num(row.accuracy),
-                "offload_count": row.offload_count,
-                "num_batches": row.num_batches,
-                "cost": cost_obj(row.cost),
-                "t_per_batch_ms": _num(row.t_per_batch_ms),
-                "e_per_batch_mj": _num(row.e_per_batch_mj),
-                "acc_to_latency_per_ms": _num(row.acc_to_latency_per_ms),
-                "acc_to_energy_per_mj": _num(row.acc_to_energy_per_mj),
-                "latency_vs_baseline": _num(row.latency_vs_baseline),
-                "energy_vs_baseline": _num(row.energy_vs_baseline),
-                "offload_histogram": {
-                    d.label: row.histogram[d] for d in sorted(row.histogram)
-                },
-            }
-            for row in result.rows
-        ],
+        "rows": [_json_row(row) for row in result.rows],
     }
     json_path.write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
     return csv_path, json_path
@@ -559,13 +543,7 @@ def emit_report(result: SweepResult, out_base: str | Path) -> tuple[Path, Path]:
 
 def load_report(json_path: str | Path) -> dict:
     """Read back an emitted JSON report, checking the schema version."""
-    path = Path(json_path)
-    try:
-        doc = json.loads(path.read_text(encoding="utf-8"))
-    except OSError as exc:
-        raise ConfigError(f"cannot read report {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"report {path} is not valid JSON: {exc}") from exc
+    doc = read_json(json_path, "report")
     if doc.get("schema_version") != SCHEMA_VERSION:
         raise ConfigError(
             f"report schema version {doc.get('schema_version')!r} is not "

@@ -11,7 +11,6 @@ possible union of partitions hit by a top-k candidate list, which
 from __future__ import annotations
 
 import itertools
-import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -19,7 +18,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, read_json
 
 __all__ = [
     "DomainSet",
@@ -144,13 +143,7 @@ def load_partition_map(source: str | Path | Mapping) -> PartitionMap:
     mapping: ``{"num_classes": N, "partitions": [[class, ...], ...]}``.
     """
     if isinstance(source, (str, Path)):
-        try:
-            with open(source, "r", encoding="utf-8") as fh:
-                doc = json.load(fh)
-        except OSError as exc:
-            raise ConfigError(f"cannot read partition config {source}: {exc}") from exc
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"partition config {source} is not valid JSON: {exc}") from exc
+        doc = read_json(source, "partition config")
     else:
         doc = source
     if not isinstance(doc, Mapping):

@@ -14,30 +14,17 @@ both once per trace set and sweeps reuse them across thresholds.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
 from .errors import CoinferError
-from .partition import DomainSet, PartitionMap, domain_of_topk
-from .trace import (
-    PredictionTrace,
-    TraceSet,
-    confidence,
-    softmax_matrix,
-    softmax_row,
-    topk_indices,
-    topk_matrix,
-)
+from .partition import DomainSet, PartitionMap
+from .trace import PredictionTrace, TraceSet, softmax_matrix, topk_matrix
 
 __all__ = [
-    "Local",
-    "Offload",
-    "RoutingDecision",
     "RoutingPrimitives",
     "CollabOutcome",
-    "route_sample",
-    "refine",
     "gate_signals",
     "compute_routing_primitives",
     "apply_gate",
@@ -46,71 +33,32 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Local:
-    """Edge prediction accepted by the confidence gate."""
-
-    predicted: int
-    confidence: float
-
-
-@dataclass(frozen=True)
-class Offload:
-    """Gate rejection: the sample goes to the expert covering ``domain``."""
-
-    domain: DomainSet
-    topk: tuple[int, ...]
-    confidence: float
-
-
-RoutingDecision = Local | Offload
+def check_threshold(threshold: float):
+    """Reject a confidence threshold outside [0, 1] with ValueError."""
+    if not 0.0 <= threshold <= 1.0:
+        raise ValueError(f"confidence threshold must lie in [0,1], got {threshold}")
 
 
 def _check_gate_params(threshold: float, k: int, num_classes: int):
-    if not 0.0 <= threshold <= 1.0:
-        raise ValueError(f"confidence threshold must lie in [0,1], got {threshold}")
+    check_threshold(threshold)
     if not (isinstance(k, int) and 1 <= k <= num_classes):
         raise ValueError(f"k must be an integer in [1, {num_classes}], got {k!r}")
 
 
-def route_sample(
-    logits_row: np.ndarray, threshold: float, k: int, pm: PartitionMap
-) -> RoutingDecision:
-    """Gate one sample: local argmax if confident, else a routed offload."""
-    row = np.asarray(logits_row)
-    _check_gate_params(threshold, k, row.shape[-1])
-    probs = softmax_row(row)
-    conf = confidence(probs)
-    if conf >= threshold:
-        return Local(predicted=int(np.argmax(probs)), confidence=conf)
-    top = topk_indices(probs, k)
-    return Offload(
-        domain=domain_of_topk(pm, top),
-        topk=tuple(int(c) for c in top),
-        confidence=conf,
-    )
-
-
-def refine(
-    decision: Offload,
-    expert_row: np.ndarray,
-    pm: PartitionMap | None = None,
-    mask_to_domain: bool = False,
-) -> int:
-    """Expert prediction for one offloaded sample.
+def expert_argmax(
+    logits: np.ndarray, pm: PartitionMap, domain: DomainSet, mask_to_domain: bool
+) -> np.ndarray:
+    """Expert prediction for each row of ``logits`` (or for one 1-D row).
 
     By default the argmax over the full label space (experts are
     specialized by training, not by output masking). With
     ``mask_to_domain`` the argmax is restricted to classes inside the
-    routed domain, which needs the partition map.
+    routed ``domain``.
     """
-    row = np.asarray(expert_row, dtype=np.float64)
     if not mask_to_domain:
-        return int(np.argmax(row))
-    if pm is None:
-        raise ValueError("mask_to_domain needs the partition map")
-    allowed = pm.classes_in(decision.domain)
-    return int(allowed[np.argmax(row[allowed])])
+        return logits.argmax(axis=-1)
+    allowed = pm.classes_in(domain)
+    return allowed[logits[..., allowed].argmax(axis=-1)]
 
 
 @dataclass(frozen=True, eq=False)
@@ -176,12 +124,7 @@ def compute_routing_primitives(
         if expert is None:
             raise CoinferError(f"no expert trace for routed domain {dom.label}")
         idx = np.asarray(rows)
-        rows_logits = expert.logits[idx]
-        if mask_to_domain:
-            allowed = pm.classes_in(dom)
-            refined[idx] = allowed[rows_logits[:, allowed].argmax(axis=1)]
-        else:
-            refined[idx] = rows_logits.argmax(axis=1)
+        refined[idx] = expert_argmax(expert.logits[idx], pm, dom, mask_to_domain)
 
     return RoutingPrimitives(
         k=k,
@@ -209,28 +152,12 @@ class CollabOutcome:
     offload_proportion: float
     histogram: Mapping[DomainSet, int]  # offloads per routed domain
 
-    def decision_for(self, i: int) -> RoutingDecision:
-        if self.offloaded[i]:
-            return Offload(
-                domain=self.domains[i],
-                topk=tuple(int(c) for c in self.topk[i]),
-                confidence=float(self.confidences[i]),
-            )
-        return Local(
-            predicted=int(self.predictions[i]), confidence=float(self.confidences[i])
-        )
-
-    @property
-    def decisions(self) -> Iterator[RoutingDecision]:
-        return (self.decision_for(i) for i in range(self.predictions.shape[0]))
-
 
 def apply_gate(
     primitives: RoutingPrimitives, labels: np.ndarray, threshold: float
 ) -> CollabOutcome:
     """Select each sample's outcome by the confidence gate (conf >= tau stays local)."""
-    if not 0.0 <= threshold <= 1.0:
-        raise ValueError(f"confidence threshold must lie in [0,1], got {threshold}")
+    check_threshold(threshold)
     offloaded = primitives.confidences < threshold
     predictions = np.where(offloaded, primitives.refined, primitives.local_predictions)
     m = primitives.num_samples
@@ -280,8 +207,7 @@ def offload_proportion_curve(
 ) -> list[tuple[float, float]]:
     """Exact offload proportion (fraction with conf < tau) per threshold."""
     for t in thresholds:
-        if not 0.0 <= t <= 1.0:
-            raise ValueError(f"confidence threshold must lie in [0,1], got {t}")
+        check_threshold(t)
     conf = softmax_matrix(edge_trace.logits).max(axis=1)
     m = edge_trace.num_samples
     return [(float(t), float((conf < t).sum()) / m) for t in thresholds]

@@ -25,17 +25,14 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, read_json
 from .partition import DomainSet, PartitionMap, enumerate_expert_domains
 
 __all__ = [
     "PredictionTrace",
     "TraceSet",
     "TraceTargets",
-    "softmax_row",
     "softmax_matrix",
-    "confidence",
-    "topk_indices",
     "topk_accuracy",
     "recall_gap",
     "synthesize_trace",
@@ -78,10 +75,11 @@ class PredictionTrace:
                 f"range [0, {logits.shape[1]})"
             )
         if not np.isfinite(logits).all():
+            # Element index and byte offset in the row-major float32 logits file layout.
             flat = int(np.flatnonzero(~np.isfinite(logits).ravel())[0])
             raise ConfigError(
                 f"{self.model_name}: non-finite logit at row {flat // logits.shape[1]}, "
-                f"column {flat % logits.shape[1]}"
+                f"column {flat % logits.shape[1]} (element {flat}, byte offset {flat * 4})"
             )
         logits.setflags(write=False)
         labels.setflags(write=False)
@@ -155,16 +153,6 @@ class TraceSet:
             raise ConfigError(f"expert coverage incomplete, missing domains: {missing}")
 
 
-def softmax_row(logits_row: np.ndarray) -> np.ndarray:
-    """Numerically stable softmax of one logit row (max-subtraction)."""
-    row = np.asarray(logits_row, dtype=np.float64)
-    if row.ndim != 1 or row.size == 0:
-        raise ValueError("softmax_row expects a non-empty 1-D row")
-    shifted = row - row.max()
-    e = np.exp(shifted)
-    return e / e.sum()
-
-
 def softmax_matrix(logits: np.ndarray) -> np.ndarray:
     """Row-wise stable softmax of an M x N logit matrix."""
     m = np.asarray(logits, dtype=np.float64)
@@ -173,26 +161,12 @@ def softmax_matrix(logits: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=1, keepdims=True)
 
 
-def confidence(probs: np.ndarray) -> float:
-    """Maximum softmax probability of one probability vector."""
-    return float(np.max(probs))
-
-
-def topk_indices(probs: np.ndarray, k: int) -> np.ndarray:
-    """Indices of the k largest probabilities.
-
-    Ordered descending by probability; ties broken by ascending class
-    index so routing is deterministic.
-    """
-    probs = np.asarray(probs)
-    if not 1 <= k <= probs.shape[-1]:
-        raise ValueError(f"k must satisfy 1 <= k <= {probs.shape[-1]}, got {k}")
-    order = np.argsort(-probs, kind="stable")
-    return order[:k]
-
-
 def topk_matrix(probs: np.ndarray, k: int) -> np.ndarray:
-    """Row-wise :func:`topk_indices` for an M x N probability matrix."""
+    """Indices of the k largest probabilities in each row of an M x N matrix.
+
+    Each row is ordered descending by probability; ties break by
+    ascending class index so routing is deterministic.
+    """
     if not 1 <= k <= probs.shape[1]:
         raise ValueError(f"k must satisfy 1 <= k <= {probs.shape[1]}, got {k}")
     return np.argsort(-probs, axis=1, kind="stable")[:, :k]
@@ -515,18 +489,6 @@ def _read_exact(path: Path, dtype: np.dtype, count: int, what: str) -> np.ndarra
     return np.frombuffer(raw, dtype=dtype)
 
 
-def _load_logits(path: Path, m: int, n: int, name: str) -> np.ndarray:
-    flat = _read_exact(path, np.dtype("<f4"), m * n, f"logits ({name})")
-    finite = np.isfinite(flat)
-    if not finite.all():
-        idx = int(np.flatnonzero(~finite)[0])
-        raise ConfigError(
-            f"logits file {path}: non-finite value at element {idx} "
-            f"(byte offset {idx * 4})"
-        )
-    return flat.reshape(m, n)
-
-
 def load_trace_set(
     manifest_path: str | Path,
     pm: PartitionMap | None = None,
@@ -539,12 +501,7 @@ def load_trace_set(
     directory.
     """
     manifest_path = Path(manifest_path)
-    try:
-        doc = json.loads(manifest_path.read_text(encoding="utf-8"))
-    except OSError as exc:
-        raise ConfigError(f"cannot read manifest {manifest_path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"manifest {manifest_path} is not valid JSON: {exc}") from exc
+    doc = read_json(manifest_path, "manifest")
 
     required = {"num_classes", "num_samples", "labels_file", "edge", "experts"}
     missing = required - set(doc)
@@ -573,8 +530,14 @@ def load_trace_set(
     def load_entry(entry: Mapping, what: str) -> PredictionTrace:
         if "name" not in entry or "logits_file" not in entry:
             raise ConfigError(f"manifest {what} entry needs 'name' and 'logits_file'")
-        logits = _load_logits(resolve(entry["logits_file"]), m, n, entry["name"])
-        return PredictionTrace(model_name=entry["name"], logits=logits, labels=labels)
+        path = resolve(entry["logits_file"])
+        flat = _read_exact(path, np.dtype("<f4"), m * n, f"logits ({entry['name']})")
+        try:
+            return PredictionTrace(
+                model_name=entry["name"], logits=flat.reshape(m, n), labels=labels
+            )
+        except ConfigError as exc:  # the trace's own checks, e.g. a non-finite logit
+            raise ConfigError(f"logits file {path}: {exc}") from None
 
     edge = load_entry(doc["edge"], "edge")
     experts: dict[DomainSet, PredictionTrace] = {}

@@ -26,13 +26,20 @@ import struct
 import threading
 import time
 from dataclasses import dataclass
-from typing import BinaryIO, Callable
+from typing import BinaryIO
 
 import numpy as np
 
 from .errors import ProtocolError, TransportError
 from .partition import DomainSet, PartitionMap, domain_of_topk
-from .router import CollabOutcome, gate_signals
+from .router import (
+    CollabOutcome,
+    RoutingPrimitives,
+    apply_gate,
+    check_threshold,
+    expert_argmax,
+    gate_signals,
+)
 from .trace import PredictionTrace, TraceSet
 
 __all__ = [
@@ -224,6 +231,11 @@ def _decode_payload(msg_type: int, payload: bytes) -> Message:
                 f"domain indices not sorted ascending: {list(domain)}",
                 offset=cur.base + cur.pos - 2 * card,
             )
+        if domain[0] == 0:
+            raise ProtocolError(
+                "domain holds partition 0; partitions are 1-based",
+                offset=cur.base + cur.pos - 2 * card,
+            )
         (latency_us,) = cur.take("<I", "server latency")
         cur.finish()
         return OffloadResponse(
@@ -342,10 +354,9 @@ class NearEdgeServer:
 
     Holds the expert traces and the partition map, recomputes each
     request's domain from its top-k indices, and answers with the
-    selected expert's prediction. ``raw_backend`` (payload bytes,
-    domain) -> class index serves raw-payload requests; without it they
-    fail with an internal error, since a trace server has nothing to
-    run on opaque bytes.
+    selected expert's prediction. Raw-payload requests fail with an
+    internal error, since a trace server has nothing to run on opaque
+    bytes.
     """
 
     def __init__(
@@ -355,17 +366,16 @@ class NearEdgeServer:
         pm: PartitionMap,
         k: int,
         mask_to_domain: bool = False,
-        raw_backend: Callable[[bytes, DomainSet], int] | None = None,
     ):
         ts.validate_for(pm, k)
         self.ts = ts
         self.pm = pm
         self.k = k
         self.mask_to_domain = mask_to_domain
-        self.raw_backend = raw_backend
         self._tcp = _TCPServer(listen_addr, _Handler)
         self._tcp.owner = self
         self._thread: threading.Thread | None = None
+        self._serving = False
 
     @property
     def address(self) -> tuple[str, int]:
@@ -395,30 +405,21 @@ class NearEdgeServer:
             )
 
         if req.payload is not None:
-            if self.raw_backend is None:
-                return ErrorMsg(
-                    request_id=req.request_id,
-                    code=ERR_INTERNAL,
-                    message="this server is trace-backed and cannot run raw payloads",
-                )
-            try:
-                predicted = int(self.raw_backend(req.payload, domain))
-            except Exception as exc:
-                return ErrorMsg(request_id=req.request_id, code=ERR_INTERNAL, message=str(exc))
-        else:
-            if req.sample_index >= self.ts.num_samples:
-                return ErrorMsg(
-                    request_id=req.request_id,
-                    code=ERR_UNKNOWN_SAMPLE,
-                    message=f"sample index {req.sample_index} outside trace "
-                    f"({self.ts.num_samples} samples)",
-                )
-            row = expert.logits[req.sample_index]
-            if self.mask_to_domain:
-                allowed = self.pm.classes_in(domain)
-                predicted = int(allowed[np.argmax(row[allowed])])
-            else:
-                predicted = int(np.argmax(row))
+            return ErrorMsg(
+                request_id=req.request_id,
+                code=ERR_INTERNAL,
+                message="this server is trace-backed and cannot run raw payloads",
+            )
+        if req.sample_index >= self.ts.num_samples:
+            return ErrorMsg(
+                request_id=req.request_id,
+                code=ERR_UNKNOWN_SAMPLE,
+                message=f"sample index {req.sample_index} outside trace "
+                f"({self.ts.num_samples} samples)",
+            )
+        predicted = int(
+            expert_argmax(expert.logits[req.sample_index], self.pm, domain, self.mask_to_domain)
+        )
 
         elapsed_us = min((time.perf_counter_ns() - started) // 1000, _U32_MAX)
         return OffloadResponse(
@@ -429,15 +430,20 @@ class NearEdgeServer:
         )
 
     def start_background(self) -> "NearEdgeServer":
+        self._serving = True
         self._thread = threading.Thread(target=self._tcp.serve_forever, daemon=True)
         self._thread.start()
         return self
 
     def serve_forever(self):
+        self._serving = True
         self._tcp.serve_forever()
 
     def shutdown(self):
-        self._tcp.shutdown()
+        # socketserver's shutdown waits for a serve loop to stop, so on a
+        # server that never served it would wait forever.
+        if self._serving:
+            self._tcp.shutdown()
         self._tcp.server_close()
         if self._thread is not None:
             self._thread.join(timeout=5.0)
@@ -519,11 +525,9 @@ def run_edge_client(
     (the server is stateless, so replays are safe) up to ``retries``
     extra attempts.
     """
-    if not 0.0 <= threshold <= 1.0:
-        raise ValueError(f"confidence threshold must lie in [0,1], got {threshold}")
+    check_threshold(threshold)
     conf, local_pred, top, domains = gate_signals(edge_trace, pm, k)
-    offloaded = conf < threshold
-    offload_rows = np.flatnonzero(offloaded)
+    offload_rows = np.flatnonzero(conf < threshold)
 
     requests = [
         OffloadRequest(
@@ -549,35 +553,26 @@ def run_edge_client(
                 f"offload batch failed after {retries + 1} attempts: {last_error}"
             )
 
-    predictions = local_pred.copy()
-    hist: dict[DomainSet, int] = {}
-    for i in offload_rows:
-        resp = responses.get(int(i))
+    refined = local_pred.copy()
+    for i in offload_rows.tolist():
+        resp = responses.get(i)
         if resp is None:
-            raise TransportError(f"no response for sample {int(i)}")
+            raise TransportError(f"no response for sample {i}")
         if resp.domain != domains[i]:
             raise ProtocolError(
-                f"server routed sample {int(i)} to {resp.domain.label}, "
+                f"server routed sample {i} to {resp.domain.label}, "
                 f"client derived {domains[i].label}"
             )
-        predictions[i] = resp.predicted_class
-        hist[resp.domain] = hist.get(resp.domain, 0) + 1
-
-    m = edge_trace.num_samples
-    count = int(offloaded.sum())
-    return CollabOutcome(
-        threshold=threshold,
+        refined[i] = resp.predicted_class
+    primitives = RoutingPrimitives(
         k=k,
-        predictions=predictions,
-        offloaded=offloaded,
         confidences=conf,
+        local_predictions=local_pred,
         topk=top,
         domains=domains,
-        accuracy=float((predictions == edge_trace.labels).sum()) / m,
-        offload_count=count,
-        offload_proportion=count / m,
-        histogram=hist,
+        refined=refined,
     )
+    return apply_gate(primitives, edge_trace.labels, threshold)
 
 
 # ---------------------------------------------------------------------------

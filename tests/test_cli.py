@@ -97,6 +97,19 @@ def test_sweep_requires_flags_or_config(workspace, capsys):
     assert "--taus" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["validate", "--sweep-config"],
+    ["sweep", "--output", "unused", "--config"],
+])
+@pytest.mark.parametrize("content", [None, "{not json"], ids=["missing", "malformed"])
+def test_unreadable_sweep_config_exits_2_naming_the_file(tmp_path, capsys, argv, content):
+    path = tmp_path / "sweep.json"
+    if content is not None:
+        path.write_text(content)
+    assert main([*argv, str(path)]) == 2
+    assert str(path) in capsys.readouterr().err
+
+
 def test_sweep_flag_form_writes_reports(workspace, capsys):
     out_base = workspace / "flagsweep"
     rc = main(["sweep",

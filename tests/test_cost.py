@@ -8,9 +8,7 @@ from coinfer.cost import (
     CommModel,
     CostProfile,
     compose_batch_cost,
-    compose_from_proportion,
     load_cost_profiles,
-    offload_count,
 )
 from coinfer.errors import ConfigError
 from coinfer.partition import DomainSet
@@ -84,22 +82,6 @@ class TestCommModel:
     def test_rejects_negative_terms(self):
         with pytest.raises(ConfigError):
             CommModel(rtt_ms=-1.0)
-
-
-class TestOffloadCount:
-    def test_rounds_up(self):
-        assert offload_count(10, 0.41) == 5
-
-    def test_near_integer_product_is_not_bumped(self):
-        assert offload_count(1000, 0.462) == 462
-
-    def test_extremes(self):
-        assert offload_count(10, 0.0) == 0
-        assert offload_count(10, 1.0) == 10
-
-    def test_rejects_out_of_range(self):
-        with pytest.raises(ValueError):
-            offload_count(10, 1.5)
 
 
 class TestComposeBatchCost:
@@ -184,14 +166,6 @@ class TestComposeBatchCost:
                                 near_profile=near, comm=comm)
         assert lo.t_total_ms <= hi.t_total_ms + 1e-12
         assert lo.e_total_mj <= hi.e_total_mj + 1e-12
-
-
-def test_compose_from_proportion_uses_ceiling():
-    edge = single_knot("e", "m", 10, 10.0)
-    near = single_knot("n", "m", 10, 20.0)
-    cost = compose_from_proportion(10, 0.41, edge, near)
-    # 4.1 -> 5 samples -> half the near knot
-    assert cost.t_near_ms == pytest.approx(10.0)
 
 
 class TestLoadCostProfiles:

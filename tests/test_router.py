@@ -4,19 +4,33 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from coinfer.partition import DomainSet, PartitionMap
+from coinfer.partition import (
+    DomainSet,
+    PartitionMap,
+    domain_of_topk,
+    enumerate_expert_domains,
+)
 from coinfer.router import (
-    Local,
-    Offload,
     apply_gate,
     collaborative_infer,
     compute_routing_primitives,
+    gate_signals,
     offload_proportion_curve,
-    refine,
-    route_sample,
 )
 from coinfer.trace import PredictionTrace, TraceSet, TraceTargets, synthesize_trace_set
 from conftest import make_partition_map, random_trace_set
+
+
+def one_row_trace_set(pm, k, edge_row, expert_row=None):
+    """A single sample; every expert domain answers with ``expert_row``
+    (default: the edge row itself)."""
+    labels = np.array([0])
+    edge = PredictionTrace("edge", np.array([edge_row], dtype=np.float32), labels)
+    expert = edge if expert_row is None else PredictionTrace(
+        "expert", np.array([expert_row], dtype=np.float32), labels
+    )
+    domains = enumerate_expert_domains(pm.num_partitions, k)
+    return TraceSet(edge=edge, experts={dom: expert for dom in domains})
 
 
 def reference_predictions(ts, assignment, tau, k):
@@ -49,61 +63,83 @@ def reference_predictions(ts, assignment, tau, k):
 
 
 class TestRouteSample:
+    """The gate on one sample, through a one-row trace set."""
+
     def test_confident_sample_stays_local(self):
         pm = make_partition_map(4, 2)
-        row = np.array([8.0, 0.0, 0.0, 0.0], dtype=np.float32)
-        d = route_sample(row, 0.9, 2, pm)
-        assert isinstance(d, Local)
-        assert d.predicted == 0
-        assert d.confidence > 0.99
+        ts = one_row_trace_set(pm, 2, [8.0, 0.0, 0.0, 0.0])
+        outcome = collaborative_infer(ts, pm, 0.9, 2)
+        assert not outcome.offloaded[0]
+        assert outcome.predictions[0] == 0
+        assert outcome.confidences[0] > 0.99
 
     def test_uncertain_sample_offloads_with_domain(self):
         pm = PartitionMap(partitions=[[0, 1], [2], [3]], num_classes=4)
-        row = np.array([1.0, 0.0, 1.0, -4.0], dtype=np.float32)
-        d = route_sample(row, 0.9, 2, pm)
-        assert isinstance(d, Offload)
-        assert d.topk == (0, 2)
-        assert d.domain == DomainSet.of([1, 2])
+        ts = one_row_trace_set(pm, 2, [1.0, 0.0, 1.0, -4.0])
+        outcome = collaborative_infer(ts, pm, 0.9, 2)
+        assert outcome.offloaded[0]
+        assert outcome.topk[0].tolist() == [0, 2]
+        assert outcome.domains[0] == DomainSet.of([1, 2])
+        assert outcome.histogram == {DomainSet.of([1, 2]): 1}
 
     def test_threshold_zero_is_always_local(self):
         pm = make_partition_map(4, 2)
-        d = route_sample(np.zeros(4, dtype=np.float32), 0.0, 2, pm)
-        assert isinstance(d, Local)
+        ts = one_row_trace_set(pm, 2, [0.0, 0.0, 0.0, 0.0])
+        assert not collaborative_infer(ts, pm, 0.0, 2).offloaded[0]
 
     def test_boundary_confidence_stays_local(self):
         pm = make_partition_map(2, 2)
         # two equal logits: confidence exactly 0.5
-        d = route_sample(np.zeros(2, dtype=np.float32), 0.5, 1, pm)
-        assert isinstance(d, Local)
+        ts = one_row_trace_set(pm, 1, [0.0, 0.0])
+        outcome = collaborative_infer(ts, pm, 0.5, 1)
+        assert outcome.confidences[0] == 0.5
+        assert not outcome.offloaded[0]
 
     def test_rejects_bad_gate_params(self):
         pm = make_partition_map(4, 2)
-        row = np.zeros(4, dtype=np.float32)
+        ts = one_row_trace_set(pm, 2, [0.0, 0.0, 0.0, 0.0])
         with pytest.raises(ValueError):
-            route_sample(row, 1.5, 2, pm)
+            collaborative_infer(ts, pm, 1.5, 2)
         with pytest.raises(ValueError):
-            route_sample(row, 0.5, 0, pm)
+            collaborative_infer(ts, pm, 0.5, 0)
         with pytest.raises(ValueError):
-            route_sample(row, 0.5, 5, pm)
+            collaborative_infer(ts, pm, 0.5, 5)
+        with pytest.raises(ValueError):
+            gate_signals(ts.edge, pm, 5)
+        prims = compute_routing_primitives(ts, pm, 2)
+        with pytest.raises(ValueError, match=r"\[0,1\]"):
+            apply_gate(prims, ts.labels, -0.1)
+        with pytest.raises(ValueError, match=r"\[0,1\]"):
+            offload_proportion_curve(ts.edge, [0.5, 1.5])
 
 
 class TestRefine:
+    """Expert refinement of an offloaded sample, through a one-row trace set."""
+
+    # Top-2 classes 0 and 1 both lie in partition 1, so the domain is {1}.
+    PM = PartitionMap(partitions=[[0, 1], [2, 3]], num_classes=4)
+    EDGE_ROW = [1.0, 1.0, 0.0, 0.0]
+    EXPERT_ROW = [0.1, 0.2, 0.6, 0.1]
+
     def test_argmax_over_full_space(self):
-        d = Offload(domain=DomainSet.of([1]), topk=(0, 1), confidence=0.3)
-        assert refine(d, np.array([0.1, 0.2, 0.6, 0.1])) == 2
+        ts = one_row_trace_set(self.PM, 2, self.EDGE_ROW, self.EXPERT_ROW)
+        outcome = collaborative_infer(ts, self.PM, 0.9, 2)
+        assert outcome.domains[0] == DomainSet.of([1])
+        assert outcome.offloaded[0]
+        assert outcome.predictions[0] == 2
 
     def test_mask_restricts_to_domain_classes(self):
-        pm = PartitionMap(partitions=[[0, 1], [2, 3]], num_classes=4)
-        d = Offload(domain=DomainSet.of([1]), topk=(0, 1), confidence=0.3)
-        row = np.array([0.1, 0.2, 0.6, 0.1])
-        assert refine(d, row, pm, mask_to_domain=True) == 1
+        ts = one_row_trace_set(self.PM, 2, self.EDGE_ROW, self.EXPERT_ROW)
+        outcome = collaborative_infer(ts, self.PM, 0.9, 2, mask_to_domain=True)
+        assert outcome.offloaded[0]
+        assert outcome.predictions[0] == 1
 
     def test_identity_expert_matches_edge(self):
         pm = make_partition_map(4, 2)
-        row = np.array([0.5, 3.0, -1.0, 0.0], dtype=np.float32)
-        d = route_sample(row, 1.0, 2, pm)
-        assert isinstance(d, Offload)
-        assert refine(d, row) == 1
+        ts = one_row_trace_set(pm, 2, [0.5, 3.0, -1.0, 0.0])
+        outcome = collaborative_infer(ts, pm, 1.0, 2)
+        assert outcome.offloaded[0]
+        assert outcome.predictions[0] == 1
 
 
 class TestCollaborativeInfer:
@@ -172,14 +208,15 @@ class TestCollaborativeInfer:
         rng = np.random.default_rng(17)
         pm = make_partition_map(6, 2)
         ts = random_trace_set(rng, 50, 6, pm, k=2)
+        prims = compute_routing_primitives(ts, pm, 2)
         outcome = collaborative_infer(ts, pm, 0.7, 2)
-        for i, decision in enumerate(outcome.decisions):
+        for i in range(ts.num_samples):
+            assert outcome.offloaded[i] == (outcome.confidences[i] < 0.7)
+            assert outcome.domains[i] == domain_of_topk(pm, outcome.topk[i])
             if outcome.offloaded[i]:
-                assert isinstance(decision, Offload)
-                assert decision.domain == outcome.domains[i]
+                assert outcome.predictions[i] == prims.refined[i]
             else:
-                assert isinstance(decision, Local)
-                assert decision.predicted == outcome.predictions[i]
+                assert outcome.predictions[i] == prims.local_predictions[i]
 
     def test_mask_to_domain_keeps_predictions_inside_domain(self):
         rng = np.random.default_rng(23)
@@ -192,8 +229,6 @@ class TestCollaborativeInfer:
 
 
 def compute_domains(pm, k):
-    from coinfer.partition import enumerate_expert_domains
-
     return enumerate_expert_domains(pm.num_partitions, k)
 
 

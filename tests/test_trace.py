@@ -15,12 +15,11 @@ from coinfer.trace import (
     recall_gap,
     shuffle_trace_set,
     softmax_matrix,
-    softmax_row,
     synthesize_expert_trace,
     synthesize_trace,
     synthesize_trace_set,
     topk_accuracy,
-    topk_indices,
+    topk_matrix,
     write_trace_set,
 )
 from conftest import make_partition_map
@@ -49,7 +48,7 @@ def test_trace_set_demands_consistent_labels():
 
 def test_softmax_row_matches_direct_formula():
     row = np.array([1.0, 2.0, 3.0])
-    p = softmax_row(row)
+    (p,) = softmax_matrix(row[None, :])
     z = sum(math.exp(v) for v in row)
     assert p == pytest.approx([math.exp(v) / z for v in row], rel=1e-12)
     assert p.sum() == pytest.approx(1.0)
@@ -57,16 +56,16 @@ def test_softmax_row_matches_direct_formula():
 
 def test_softmax_row_is_shift_stable():
     row = np.array([1000.0, 1001.0])
-    p = softmax_row(row)
+    (p,) = softmax_matrix(row[None, :])
     assert np.isfinite(p).all()
     assert p[1] > p[0]
 
 
 def test_topk_ties_break_by_ascending_class():
-    p = np.array([0.25, 0.25, 0.25, 0.25])
-    assert topk_indices(p, 2).tolist() == [0, 1]
-    p = np.array([0.1, 0.4, 0.4, 0.1])
-    assert topk_indices(p, 2).tolist() == [1, 2]
+    p = np.array([[0.25, 0.25, 0.25, 0.25]])
+    assert topk_matrix(p, 2).tolist() == [[0, 1]]
+    p = np.array([[0.1, 0.4, 0.4, 0.1]])
+    assert topk_matrix(p, 2).tolist() == [[1, 2]]
 
 
 def test_topk_accuracy_hand_case():
@@ -216,7 +215,7 @@ def test_loader_rejects_non_finite_logits(tmp_path):
     raw = bytearray(edge_file.read_bytes())
     raw[4:8] = np.array([np.nan], dtype="<f4").tobytes()
     edge_file.write_bytes(bytes(raw))
-    with pytest.raises(ConfigError, match="byte offset 4"):
+    with pytest.raises(ConfigError, match=r"edge\.bin: .*byte offset 4\)"):
         load_trace_set(manifest)
 
 

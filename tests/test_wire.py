@@ -1,9 +1,10 @@
 import socket
+import threading
 import time
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from coinfer.errors import ProtocolError, TransportError
 from coinfer.partition import DomainSet
@@ -12,6 +13,7 @@ from coinfer.trace import TraceTargets, synthesize_trace_set
 from coinfer.wire import (
     DelayedProxy,
     ERR_BAD_FRAME,
+    ERR_INTERNAL,
     ERR_NO_EXPERT,
     ERR_UNKNOWN_SAMPLE,
     ErrorMsg,
@@ -92,6 +94,14 @@ class TestFraming:
         with pytest.raises(ProtocolError, match="sorted"):
             decode(bytes(frame))
 
+    def test_zero_partition_in_response_domain_rejected(self):
+        resp = OffloadResponse(request_id=1, predicted_class=0,
+                               domain=DomainSet.of([1]), server_latency_us=0)
+        frame = bytearray(encode(resp))
+        frame[22:24] = (0).to_bytes(2, "little")
+        with pytest.raises(ProtocolError, match="offset 22"):
+            decode(bytes(frame))
+
     def test_request_needs_exactly_one_body_kind(self):
         with pytest.raises(ValueError):
             OffloadRequest(request_id=0, topk=(1,), sample_index=0, payload=b"x")
@@ -128,6 +138,37 @@ def test_round_trip_is_identity(msg):
     assert decode(encode(msg)) == msg
 
 
+def _decodes_or_protocol_error(data: bytes):
+    try:
+        msg = decode(data)
+    except ProtocolError:
+        return
+    assert isinstance(msg, (OffloadRequest, OffloadResponse, ErrorMsg))
+
+
+# Arbitrary payloads behind a well-formed header reach the per-type parsers.
+framed_bytes = st.tuples(st.integers(0, 255), st.binary(max_size=64)).map(
+    lambda t: MAGIC + bytes([t[0] % 4]) + len(t[1]).to_bytes(4, "little") + t[1]
+)
+
+
+@settings(deadline=None, max_examples=300)
+@given(data=st.one_of(st.binary(max_size=64), framed_bytes))
+def test_decode_arbitrary_bytes_only_raises_protocol_error(data):
+    _decodes_or_protocol_error(data)
+
+
+@settings(deadline=None, max_examples=300)
+@given(msg=st.one_of(request_strategy, response_strategy, error_strategy),
+       pos=st.integers(0, 2**16), value=st.integers(0, 255))
+@example(msg=OffloadResponse(request_id=1, predicted_class=0, domain=DomainSet.of([1])),
+         pos=22, value=0)  # partition 0 in the response domain
+def test_decode_mutated_frame_only_raises_protocol_error(msg, pos, value):
+    frame = bytearray(encode(msg))
+    frame[pos % len(frame)] = value
+    _decodes_or_protocol_error(bytes(frame))
+
+
 class TestServer:
     def test_loopback_matches_in_process(self):
         pm, ts = small_trace_set(seed=4, m=500)
@@ -144,6 +185,9 @@ class TestServer:
         outcome = run_edge_client(("127.0.0.1", 1), ts.edge, pm, 0.0, 2, retries=0)
         assert outcome.offload_count == 0
         assert np.array_equal(outcome.predictions, ts.edge.logits.argmax(axis=1))
+        # a bad threshold is rejected before anything is sent
+        with pytest.raises(ValueError, match=r"\[0,1\]"):
+            run_edge_client(("127.0.0.1", 1), ts.edge, pm, 1.5, 2, retries=0)
 
     def test_unknown_sample_index_gets_error_code(self):
         pm, ts = small_trace_set(seed=6, m=20)
@@ -167,6 +211,26 @@ class TestServer:
                 reply = read_message(rfile)
         assert isinstance(reply, ErrorMsg)
         assert reply.code == ERR_BAD_FRAME
+
+    def test_raw_payload_gets_internal_error_code(self):
+        pm, ts = small_trace_set(seed=6, m=20)
+        with NearEdgeServer(("127.0.0.1", 0), ts, pm, 2) as server:
+            with socket.create_connection(server.address, timeout=5) as sock:
+                rfile = sock.makefile("rb")
+                sock.sendall(encode(OffloadRequest(
+                    request_id=4, topk=(0, 1), payload=b"image bytes")))
+                reply = read_message(rfile)
+        assert isinstance(reply, ErrorMsg)
+        assert reply.code == ERR_INTERNAL
+        assert reply.request_id == 4
+
+    def test_shutdown_without_start_returns(self):
+        pm, ts = small_trace_set(seed=6, m=20)
+        server = NearEdgeServer(("127.0.0.1", 0), ts, pm, 2)
+        stopper = threading.Thread(target=server.shutdown, daemon=True)
+        stopper.start()
+        stopper.join(timeout=5)
+        assert not stopper.is_alive()
 
     def test_garbage_bytes_get_error_then_close(self):
         pm, ts = small_trace_set(seed=6, m=20)
@@ -209,7 +273,6 @@ class TestServer:
         pm, ts = small_trace_set(seed=10, m=400)
         with NearEdgeServer(("127.0.0.1", 0), ts, pm, 2) as server:
             outcomes = []
-            import threading
 
             def worker(tau):
                 outcomes.append(run_edge_client(server.address, ts.edge, pm, tau, 2))
