@@ -20,7 +20,7 @@ from .data import (
     builtin_partition_names,
     load_builtin_partitions,
 )
-from .errors import CoinferError, ConfigError, read_json
+from .errors import CoinferError, ConfigError
 from .harness import SweepConfig, emit_report, run_sweep
 from .partition import PartitionMap, load_partition_map
 from .router import collaborative_infer
@@ -71,7 +71,7 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_sweep(args) -> int:
     if args.config:
-        cfg = SweepConfig.from_mapping(read_json(args.config, "sweep config"))
+        cfg = SweepConfig.from_file(args.config)
     else:
         required = ("taus", "k", "partitions", "manifest", "profiles",
                     "edge_device", "edge_model", "near_device", "near_model")
@@ -179,7 +179,7 @@ def _cmd_validate(args) -> int:
         print(f"OK profiles: {len(profiles)} device/model pairs")
         checked = True
     if args.sweep_config:
-        SweepConfig.from_mapping(read_json(args.sweep_config, "sweep config"))
+        SweepConfig.from_file(args.sweep_config)
         print("OK sweep config")
         checked = True
     if not checked:

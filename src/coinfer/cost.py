@@ -11,6 +11,7 @@ communication term.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 from typing import Mapping, Sequence
 
@@ -24,10 +25,16 @@ __all__ = [
     "CommModel",
     "BatchCost",
     "compose_batch_cost",
+    "price_batches",
     "load_cost_profiles",
 ]
 
 AGGREGATION_MODES = ("monolithic", "serial", "parallel")
+
+
+def _float_if_scalar(query, values: np.ndarray):
+    """``values`` as a Python float when ``query`` was a scalar."""
+    return float(values) if np.ndim(query) == 0 else values
 
 
 @dataclass(frozen=True)
@@ -53,24 +60,35 @@ class CostProfile:
         if any(v < 0 for v in self.latencies_ms) or any(v < 0 for v in self.energies_mj):
             raise ConfigError(f"{name}: latency and energy values must be non-negative")
 
-    def _interp(self, b: float, values: Sequence[float]) -> float:
-        if b < 0:
-            raise ValueError(f"batch size must be >= 0, got {b}")
-        # Implied origin knot, exact knots, linear segments in between.
-        xs = (0,) + self.batches
-        ys = (0.0,) + tuple(values)
-        if b <= xs[-1]:
-            return float(np.interp(b, xs, ys))
-        slope = (ys[-1] - ys[-2]) / (xs[-1] - xs[-2])
-        return ys[-1] + slope * (b - xs[-1])
+    @cached_property
+    def _knots(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Batch sizes, latencies and energies, each with the implied origin knot."""
+        return (
+            np.array((0,) + self.batches, dtype=np.float64),
+            np.array((0.0,) + self.latencies_ms),
+            np.array((0.0,) + self.energies_mj),
+        )
 
-    def latency_at(self, b: float) -> float:
-        """Latency in ms for a batch of b samples."""
-        return self._interp(b, self.latencies_ms)
+    def _interp(self, b, ys: np.ndarray):
+        batch = np.asarray(b, dtype=np.float64)
+        if batch.size and batch.min() < 0:
+            raise ValueError(f"batch size must be >= 0, got {batch.min()}")
+        # Exact at the knots, linear in between, the last segment extended.
+        xs = self._knots[0]
+        out = np.interp(batch, xs, ys)
+        beyond = batch > xs[-1]
+        if beyond.any():
+            slope = (ys[-1] - ys[-2]) / (xs[-1] - xs[-2])
+            out = np.where(beyond, ys[-1] + slope * (batch - xs[-1]), out)
+        return _float_if_scalar(b, out)
 
-    def energy_at(self, b: float) -> float:
-        """Energy in mJ for a batch of b samples."""
-        return self._interp(b, self.energies_mj)
+    def latency_at(self, b):
+        """Latency in ms for a batch of b samples (elementwise for an array)."""
+        return self._interp(b, self._knots[1])
+
+    def energy_at(self, b):
+        """Energy in mJ for a batch of b samples (elementwise for an array)."""
+        return self._interp(b, self._knots[2])
 
 
 @dataclass(frozen=True)
@@ -86,15 +104,17 @@ class CommModel:
             if getattr(self, field) < 0:
                 raise ConfigError(f"comm model {field} must be non-negative")
 
-    def latency_ms(self, num_offloaded: int) -> float:
-        if num_offloaded <= 0:
-            return 0.0
-        return self.rtt_ms + self.per_sample_ms * num_offloaded
+    def latency_ms(self, num_offloaded):
+        """Transfer latency in ms (elementwise for an array of counts)."""
+        n = np.asarray(num_offloaded)
+        return _float_if_scalar(
+            num_offloaded, np.where(n > 0, self.rtt_ms + self.per_sample_ms * n, 0.0)
+        )
 
-    def energy_mj(self, num_offloaded: int) -> float:
-        if num_offloaded <= 0:
-            return 0.0
-        return self.per_sample_mj * num_offloaded
+    def energy_mj(self, num_offloaded):
+        """Transfer energy in mJ (elementwise for an array of counts)."""
+        n = np.asarray(num_offloaded)
+        return _float_if_scalar(num_offloaded, np.where(n > 0, self.per_sample_mj * n, 0.0))
 
 
 @dataclass(frozen=True)
@@ -129,7 +149,82 @@ class BatchCost:
         )
 
 
-ZERO_COST = BatchCost(0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
+def price_batches(
+    batch_sizes: np.ndarray,
+    offload_counts: np.ndarray,
+    domains: Sequence[DomainSet],
+    edge_profile: CostProfile | None,
+    near_profile: CostProfile | None = None,
+    expert_profiles: Mapping[DomainSet, CostProfile] | None = None,
+    comm: CommModel = CommModel(),
+    aggregation: str = "monolithic",
+) -> BatchCost:
+    """Total cost of a stream of batches, each priced on its own.
+
+    ``offload_counts[b, j]`` is how many samples of batch b were
+    offloaded to ``domains[j]``. Every term is summed over the batches
+    in batch order. The edge term always covers the full batch (every
+    sample runs the edge model first); passing ``edge_profile=None``
+    drops it, which the near-edge-only baseline uses. The near-edge term
+    depends on the aggregation mode:
+
+    * ``monolithic``: one near-edge call over all offloaded samples,
+      priced by ``near_profile``
+    * ``serial``: per-expert calls priced by ``expert_profiles`` and
+      summed
+    * ``parallel``: per-expert calls, the batch pays only the slowest
+      one for latency while energy still sums (all experts do run)
+    """
+    if aggregation not in AGGREGATION_MODES:
+        raise ConfigError(f"unknown aggregation mode {aggregation!r}, expected one of {AGGREGATION_MODES}")
+    sizes = np.asarray(batch_sizes, dtype=np.int64)
+    counts = np.asarray(offload_counts, dtype=np.int64).reshape(len(sizes), len(domains))
+    if (sizes < 0).any():
+        raise ValueError(f"batch_size must be >= 0, got {sizes.min()}")
+    if (counts < 0).any():
+        raise ValueError("offload counts must be non-negative")
+    num_off = counts.sum(axis=1)
+    over = np.flatnonzero(num_off > sizes)
+    if over.size:
+        b = over[0]
+        raise ValueError(f"offloaded {num_off[b]} samples exceeds batch size {sizes[b]}")
+
+    zero = np.zeros(len(sizes))
+    t_edge = edge_profile.latency_at(sizes) if edge_profile else zero
+    e_edge = edge_profile.energy_at(sizes) if edge_profile else zero
+
+    used = np.flatnonzero(counts.any(axis=0))
+    if used.size == 0:
+        t_near = e_near = zero
+    elif aggregation == "monolithic":
+        if near_profile is None:
+            raise ConfigError("monolithic aggregation needs a near-edge profile")
+        t_near = near_profile.latency_at(num_off)
+        e_near = near_profile.energy_at(num_off)
+    else:
+        if expert_profiles is None:
+            raise ConfigError(f"{aggregation} aggregation needs per-expert profiles")
+        missing = [domains[j].label for j in used if domains[j] not in expert_profiles]
+        if missing:
+            raise ConfigError(f"no cost profile for routed experts: {missing}")
+        # Price the columns that share a profile in one call each.
+        columns: dict[CostProfile, list[int]] = {}
+        for j in used.tolist():
+            columns.setdefault(expert_profiles[domains[j]], []).append(j)
+        lats = np.zeros(counts.shape)
+        energies = np.zeros(counts.shape)
+        for prof, cols in columns.items():
+            lats[:, cols] = prof.latency_at(counts[:, cols])
+            energies[:, cols] = prof.energy_at(counts[:, cols])
+        e_near = np.cumsum(energies, axis=1)[:, -1]
+        t_near = np.cumsum(lats, axis=1)[:, -1] if aggregation == "serial" else lats.max(axis=1)
+
+    terms = np.stack(
+        [t_edge, t_near, comm.latency_ms(num_off), e_edge, e_near, comm.energy_mj(num_off)]
+    )
+    # Summed left to right in batch order, as adding up one batch at a time does.
+    totals = np.cumsum(terms, axis=1)[:, -1] if len(sizes) else np.zeros(len(terms))
+    return BatchCost(*totals.tolist())
 
 
 def compose_batch_cost(
@@ -143,56 +238,15 @@ def compose_batch_cost(
 ) -> BatchCost:
     """Cost of running one batch with the given per-domain offload counts.
 
-    The edge term always covers the full batch (every sample runs the
-    edge model first); passing ``edge_profile=None`` drops it, which the
-    near-edge-only baseline uses. The near-edge term depends on the
-    aggregation mode:
-
-    * ``monolithic``: one near-edge call over all offloaded samples,
-      priced by ``near_profile``
-    * ``serial``: per-expert calls priced by ``expert_profiles`` and
-      summed
-    * ``parallel``: per-expert calls, the batch pays only the slowest
-      one for latency while energy still sums (all experts do run)
+    The one-batch case of :func:`price_batches`, which documents the
+    terms and aggregation modes.
     """
-    if aggregation not in AGGREGATION_MODES:
-        raise ConfigError(f"unknown aggregation mode {aggregation!r}, expected one of {AGGREGATION_MODES}")
-    if batch_size < 0:
-        raise ValueError(f"batch_size must be >= 0, got {batch_size}")
-    counts = {d: int(c) for d, c in offload_histogram.items() if c}
-    if any(c < 0 for c in counts.values()):
-        raise ValueError("offload counts must be non-negative")
-    num_off = sum(counts.values())
-    if num_off > batch_size:
-        raise ValueError(f"offloaded {num_off} samples exceeds batch size {batch_size}")
-
-    t_edge = edge_profile.latency_at(batch_size) if edge_profile else 0.0
-    e_edge = edge_profile.energy_at(batch_size) if edge_profile else 0.0
-
-    if num_off == 0:
-        t_near = e_near = 0.0
-    elif aggregation == "monolithic":
-        if near_profile is None:
-            raise ConfigError("monolithic aggregation needs a near-edge profile")
-        t_near = near_profile.latency_at(num_off)
-        e_near = near_profile.energy_at(num_off)
-    else:
-        if expert_profiles is None:
-            raise ConfigError(f"{aggregation} aggregation needs per-expert profiles")
-        missing = [d.label for d in counts if d not in expert_profiles]
-        if missing:
-            raise ConfigError(f"no cost profile for routed experts: {missing}")
-        lats = [expert_profiles[d].latency_at(c) for d, c in counts.items()]
-        e_near = sum(expert_profiles[d].energy_at(c) for d, c in counts.items())
-        t_near = sum(lats) if aggregation == "serial" else max(lats)
-
-    return BatchCost(
-        t_edge_ms=t_edge,
-        t_near_ms=t_near,
-        t_comm_ms=comm.latency_ms(num_off),
-        e_edge_mj=e_edge,
-        e_near_mj=e_near,
-        e_comm_mj=comm.energy_mj(num_off),
+    domains = list(offload_histogram)
+    counts = [[int(offload_histogram[d]) for d in domains]]
+    return price_batches(
+        [batch_size], counts, domains, edge_profile,
+        near_profile=near_profile, expert_profiles=expert_profiles,
+        comm=comm, aggregation=aggregation,
     )
 
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 from pathlib import Path
+from typing import Mapping
 
 
 class CoinferError(Exception):
@@ -44,3 +45,17 @@ def read_json(path: str | Path, what: str):
         raise ConfigError(f"cannot read {what} {path}: {exc}") from exc
     except ValueError as exc:  # JSONDecodeError, or bytes that are not UTF-8
         raise ConfigError(f"{what} {path} is not valid JSON: {exc}") from exc
+
+
+_JSON_KINDS = {
+    dict: "an object", list: "an array", str: "a string", bool: "a boolean",
+    int: "a number", float: "a number", type(None): "null",
+}
+
+
+def expect_object(value, what: str) -> Mapping:
+    """Return ``value`` if it is a JSON object, else raise ConfigError naming ``what``."""
+    if not isinstance(value, Mapping):
+        kind = _JSON_KINDS.get(type(value), type(value).__name__)
+        raise ConfigError(f"{what} must be a JSON object, got {kind}")
+    return value

@@ -11,23 +11,24 @@ inputs and seed.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from operator import attrgetter
 from pathlib import Path
 from typing import Mapping
+
+import numpy as np
 
 from .cost import (
     BatchCost,
     CommModel,
     CostProfile,
-    ZERO_COST,
-    compose_batch_cost,
     load_cost_profiles,
+    price_batches,
 )
 from .data import load_builtin_partitions, builtin_device_profiles
-from .errors import ConfigError, read_json
+from .errors import ConfigError, expect_object, read_json
 from .partition import DomainSet, PartitionMap, load_partition_map
-from .router import apply_gate, compute_routing_primitives
+from .router import RoutingPrimitives, apply_gate, compute_routing_primitives
 from .trace import TraceSet, load_trace_set, shuffle_trace_set, topk_accuracy
 
 __all__ = [
@@ -83,7 +84,17 @@ class SweepConfig:
         object.__setattr__(self, "thresholds", taus)
 
     @classmethod
+    def from_file(cls, path: str | Path) -> "SweepConfig":
+        """Load a sweep config JSON file; every error in it names the file."""
+        doc = read_json(path, "sweep config")
+        try:
+            return cls.from_mapping(doc)
+        except (ConfigError, ValueError) as exc:
+            raise ConfigError(f"sweep config {path}: {exc}") from None
+
+    @classmethod
     def from_mapping(cls, doc: Mapping) -> "SweepConfig":
+        expect_object(doc, "sweep config")
         known = {
             "thresholds", "k", "partitions", "manifest", "profiles",
             "edge_profile", "near_profile", "expert_profiles", "comm",
@@ -106,8 +117,11 @@ class SweepConfig:
                 return (str(value["device"]), str(value["model"]))
             raise ConfigError(f"{what} must be an object with 'device' and 'model'")
 
+        taus = doc["thresholds"]
+        if not (isinstance(taus, list) and all(isinstance(t, (int, float)) for t in taus)):
+            raise ConfigError("thresholds must be a JSON array of numbers")
         kwargs: dict = {
-            "thresholds": tuple(doc["thresholds"]),
+            "thresholds": tuple(taus),
             "k": doc["k"],
             "partitions": str(doc["partitions"]),
             "manifest": str(doc["manifest"]),
@@ -118,10 +132,12 @@ class SweepConfig:
         if doc.get("expert_profiles") is not None:
             kwargs["expert_profiles"] = {
                 label: profile_key(v, f"expert_profiles[{label!r}]")
-                for label, v in doc["expert_profiles"].items()
+                for label, v in expect_object(doc["expert_profiles"], "expert_profiles").items()
             }
         if "comm" in doc:
-            comm = doc["comm"]
+            comm = expect_object(doc["comm"], "comm")
+            if not all(isinstance(v, (int, float)) for v in comm.values()):
+                raise ConfigError("comm values must be numbers")
             extra = set(comm) - {"rtt_ms", "per_sample_ms", "per_sample_mj"}
             if extra:
                 raise ConfigError(f"unknown comm keys: {sorted(extra)}")
@@ -208,11 +224,9 @@ def roi_ratios(
     )
 
 
-def _batch_sizes(num_samples: int, batch_size: int) -> list[int]:
-    sizes = [batch_size] * (num_samples // batch_size)
-    if num_samples % batch_size:
-        sizes.append(num_samples % batch_size)
-    return sizes
+def _batch_sizes(num_samples: int, batch_size: int) -> np.ndarray:
+    """Consecutive batches of ``batch_size`` samples; the last may be short."""
+    return np.minimum(batch_size, num_samples - np.arange(0, num_samples, batch_size))
 
 
 def _resolve_profile(
@@ -239,29 +253,28 @@ def baseline_costs(
     cfg: SweepConfig,
     ts: TraceSet,
     profiles: Mapping[tuple[str, str], CostProfile],
+    primitives: RoutingPrimitives | None = None,
 ) -> dict[str, BaselineRow]:
     """Edge-Only (nothing offloaded) and Near-Edge-Only (everything) rows.
 
-    Near-Edge-Only accuracy comes from the trace set's near-edge
-    generalist entry when present, else it is left undefined; its cost
-    charges the near profile plus communication for every sample, with
-    no edge term.
+    Edge-Only accuracy is read from ``primitives.local_predictions``
+    when given, else computed from the edge trace. Near-Edge-Only
+    accuracy comes from the trace set's near-edge generalist entry when
+    present, else it is left undefined; its cost charges the near
+    profile plus communication for every sample, with no edge term.
     """
     edge_prof = _resolve_profile(profiles, cfg.edge_profile, "edge")
     near_prof = _resolve_profile(profiles, cfg.near_profile, "near-edge")
     sizes = _batch_sizes(ts.num_samples, cfg.batch_size)
-    whole_domain = DomainSet.of([1])
 
-    edge_total = ZERO_COST
-    near_total = ZERO_COST
-    for b in sizes:
-        edge_total = edge_total + compose_batch_cost(
-            b, {}, edge_prof, near_profile=near_prof, comm=cfg.comm
-        )
-        near_total = near_total + compose_batch_cost(
-            b, {whole_domain: b}, None, near_profile=near_prof, comm=cfg.comm
-        )
-
+    edge_total = price_batches(sizes, np.zeros((len(sizes), 0)), (), edge_prof)
+    near_total = price_batches(
+        sizes, sizes[:, None], (DomainSet.of([1]),), None, near_profile=near_prof, comm=cfg.comm
+    )
+    if primitives is None:
+        edge_acc = topk_accuracy(ts.edge, 1)
+    else:
+        edge_acc = float((primitives.local_predictions == ts.labels).sum()) / ts.num_samples
     near_acc = (
         topk_accuracy(ts.near_generalist, 1) if ts.near_generalist is not None else None
     )
@@ -270,7 +283,7 @@ def baseline_costs(
         "edge_only": BaselineRow(
             name="edge_only",
             alpha=0.0,
-            accuracy=topk_accuracy(ts.edge, 1),
+            accuracy=edge_acc,
             cost=edge_total,
             num_batches=n,
         ),
@@ -312,37 +325,36 @@ def run_sweep(
     if cfg.shuffle:
         ts = shuffle_trace_set(ts, cfg.seed)
 
-    edge_prof = _resolve_profile(profiles, cfg.edge_profile, "edge")
+    _resolve_profile(profiles, cfg.edge_profile, "edge")  # fail before routing
     near_prof = _resolve_profile(profiles, cfg.near_profile, "near-edge")
     expert_profs = _expert_profile_map(cfg, profiles)
     if cfg.aggregation != "monolithic" and expert_profs is None:
         raise ConfigError(f"{cfg.aggregation} aggregation needs expert_profiles in the config")
 
     primitives = compute_routing_primitives(ts, pm, cfg.k, cfg.mask_to_domain)
-    baselines = baseline_costs(cfg, ts, profiles)
+    baselines = baseline_costs(cfg, ts, profiles, primitives)
     base = baselines[cfg.normalize_against]
     edge_base = baselines["edge_only"]
     sizes = _batch_sizes(ts.num_samples, cfg.batch_size)
+    # Each sample's cell in the (batch, domain) count matrix of a threshold.
+    num_domains = len(primitives.domain_table)
+    cells = np.arange(ts.num_samples) // cfg.batch_size * num_domains + primitives.codes
 
     rows = []
     for tau in cfg.thresholds:
         outcome = apply_gate(primitives, ts.labels, tau)
-        total = ZERO_COST
-        start = 0
-        for b in sizes:
-            hist: dict[DomainSet, int] = {}
-            for i in range(start, start + b):
-                if outcome.offloaded[i]:
-                    dom = outcome.domains[i]
-                    hist[dom] = hist.get(dom, 0) + 1
-            total = total + compose_batch_cost(
-                b, hist, edge_prof,
-                near_profile=near_prof,
-                expert_profiles=expert_profs,
-                comm=cfg.comm,
-                aggregation=cfg.aggregation,
-            )
-            start += b
+        counts = np.bincount(cells[outcome.offloaded], minlength=len(sizes) * num_domains)
+        offload_cost = price_batches(
+            sizes, counts, primitives.domain_table, None,
+            near_profile=near_prof,
+            expert_profiles=expert_profs,
+            comm=cfg.comm,
+            aggregation=cfg.aggregation,
+        )
+        # The edge term is the Edge-Only baseline's: every sample runs the edge model.
+        total = replace(
+            offload_cost, t_edge_ms=edge_base.cost.t_edge_ms, e_edge_mj=edge_base.cost.e_edge_mj
+        )
 
         lat_roi, en_roi = roi_ratios(
             outcome.accuracy, edge_base.accuracy,

@@ -14,6 +14,7 @@ both once per trace set and sweeps reuse them across thresholds.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -65,47 +66,59 @@ def expert_argmax(
 class RoutingPrimitives:
     """Threshold-independent per-sample routing state.
 
-    ``domains[i]`` is where sample i would be routed if offloaded and
-    ``refined[i]`` the expert prediction it would receive; the gate only
-    chooses between ``local_predictions[i]`` and ``refined[i]``.
+    ``domain_table[codes[i]]`` is where sample i would be routed if
+    offloaded and ``refined[i]`` the expert prediction it would receive;
+    the gate only chooses between ``local_predictions[i]`` and
+    ``refined[i]``.
     """
 
     k: int
     confidences: np.ndarray  # (M,) float64 max softmax probability
     local_predictions: np.ndarray  # (M,) int64 edge argmax
     topk: np.ndarray  # (M, k) int64
-    domains: tuple[DomainSet, ...]  # (M,)
+    codes: np.ndarray  # (M,) int64 index into domain_table
+    domain_table: tuple[DomainSet, ...]  # each routed domain once
     refined: np.ndarray  # (M,) int64 expert prediction per sample
 
     @property
     def num_samples(self) -> int:
         return self.confidences.shape[0]
 
+    @cached_property
+    def domains(self) -> tuple[DomainSet, ...]:
+        """Each sample's routed domain, gathered once from the table."""
+        return tuple(map(self.domain_table.__getitem__, self.codes.tolist()))
+
 
 def gate_signals(
     edge_trace: PredictionTrace, pm: PartitionMap, k: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, tuple[DomainSet, ...]]:
-    """Edge-side routing signals: confidences, argmax, top-k, routed domain.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, tuple[DomainSet, ...]]:
+    """Edge-side routing signals: confidences, argmax, top-k, domain codes.
 
-    Needs no expert traces, so the network client can run it locally and
-    leave refinement to the server.
+    Sample i routes to ``table[codes[i]]``; the returned ``table`` lists
+    each routed domain once. Needs no expert traces, so the network
+    client can run it locally and leave refinement to the server.
     """
     _check_gate_params(0.0, k, edge_trace.num_classes)
     probs = softmax_matrix(edge_trace.logits)
     conf = probs.max(axis=1)
-    top = topk_matrix(probs, k).astype(np.int64)
+    top = topk_matrix(probs, k).astype(np.int64, copy=False)
     local_pred = top[:, 0].copy()
 
+    # One canonical row per domain: its partitions ascending, with repeats
+    # zeroed and moved to the front.
     parts = np.sort(pm.assignment[top], axis=1)
-    domain_cache: dict[tuple[int, ...], DomainSet] = {}
-    domains: list[DomainSet] = []
-    for row in parts.tolist():
-        key = tuple(dict.fromkeys(row))
-        dom = domain_cache.get(key)
-        if dom is None:
-            dom = domain_cache[key] = DomainSet(key)
-        domains.append(dom)
-    return conf, local_pred, top, tuple(domains)
+    parts[:, 1:][parts[:, 1:] == parts[:, :-1]] = 0
+    parts.sort(axis=1)
+    # Number the distinct rows a column at a time. Renumbering after each
+    # column keeps every code below M, so the codes cannot overflow.
+    codes = np.zeros(len(parts), dtype=np.int64)
+    for column in parts.T:
+        _, first, codes = np.unique(
+            codes * (pm.num_partitions + 1) + column, return_index=True, return_inverse=True
+        )
+    table = tuple(DomainSet(tuple(p for p in row if p)) for row in parts[first].tolist())
+    return conf, local_pred, top, codes, table
 
 
 def compute_routing_primitives(
@@ -113,25 +126,24 @@ def compute_routing_primitives(
 ) -> RoutingPrimitives:
     """Evaluate every sample's local and offloaded outcome once."""
     ts.validate_for(pm, k)
-    conf, local_pred, top, domains = gate_signals(ts.edge, pm, k)
-    rows_by_domain: dict[DomainSet, list[int]] = {}
-    for i, dom in enumerate(domains):
-        rows_by_domain.setdefault(dom, []).append(i)
+    conf, local_pred, top, codes, table = gate_signals(ts.edge, pm, k)
+    by_code = np.argsort(codes, kind="stable")
+    ends = np.cumsum(np.bincount(codes, minlength=len(table)))
 
     refined = np.empty(ts.num_samples, dtype=np.int64)
-    for dom, rows in rows_by_domain.items():
+    for dom, rows in zip(table, np.split(by_code, ends[:-1])):
         expert = ts.experts.get(dom)
         if expert is None:
             raise CoinferError(f"no expert trace for routed domain {dom.label}")
-        idx = np.asarray(rows)
-        refined[idx] = expert_argmax(expert.logits[idx], pm, dom, mask_to_domain)
+        refined[rows] = expert_argmax(expert.logits[rows], pm, dom, mask_to_domain)
 
     return RoutingPrimitives(
         k=k,
         confidences=conf,
         local_predictions=local_pred,
         topk=top,
-        domains=domains,
+        codes=codes,
+        domain_table=table,
         refined=refined,
     )
 
@@ -162,10 +174,9 @@ def apply_gate(
     predictions = np.where(offloaded, primitives.refined, primitives.local_predictions)
     m = primitives.num_samples
     count = int(offloaded.sum())
-    hist: dict[DomainSet, int] = {}
-    for i in np.flatnonzero(offloaded):
-        dom = primitives.domains[i]
-        hist[dom] = hist.get(dom, 0) + 1
+    table = primitives.domain_table
+    counts = np.bincount(primitives.codes[offloaded], minlength=len(table))
+    hist = {table[c]: int(counts[c]) for c in np.flatnonzero(counts)}
     return CollabOutcome(
         threshold=threshold,
         k=primitives.k,

@@ -25,7 +25,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .errors import ConfigError, read_json
+from .errors import ConfigError, expect_object, read_json
 from .partition import DomainSet, PartitionMap, enumerate_expert_domains
 
 __all__ = [
@@ -165,11 +165,30 @@ def topk_matrix(probs: np.ndarray, k: int) -> np.ndarray:
     """Indices of the k largest probabilities in each row of an M x N matrix.
 
     Each row is ordered descending by probability; ties break by
-    ascending class index so routing is deterministic.
+    ascending class index so routing is deterministic. The result equals
+    ``np.argsort(-probs, axis=1, kind="stable")[:, :k]`` without sorting
+    whole rows: k=1 is the argmax (the first maximum), and 1 < k < N
+    partitions each row, then sorts its k candidates by (-p, index).
+    Rows where a class left out of the cut ties the k-th value, so the
+    cut alone cannot tell which tied classes come first, fall back to
+    the stable full-row sort, as does k=N.
     """
-    if not 1 <= k <= probs.shape[1]:
-        raise ValueError(f"k must satisfy 1 <= k <= {probs.shape[1]}, got {k}")
-    return np.argsort(-probs, axis=1, kind="stable")[:, :k]
+    n = probs.shape[1]
+    if not 1 <= k <= n:
+        raise ValueError(f"k must satisfy 1 <= k <= {n}, got {k}")
+    if k == 1:
+        return probs.argmax(axis=1)[:, None]
+    if k == n:
+        return np.argsort(-probs, axis=1, kind="stable")
+    cand = np.argpartition(probs, n - k, axis=1)[:, n - k:]
+    vals = np.take_along_axis(probs, cand, axis=1)
+    top = np.take_along_axis(cand, np.lexsort((cand, -vals)), axis=1)
+    kth = np.take_along_axis(probs, top[:, -1:], axis=1)
+    # The candidates all reach the k-th value; any other class that does ties it.
+    tied = np.flatnonzero((probs >= kth).sum(axis=1) != k)
+    if tied.size:
+        top[tied] = np.argsort(-probs[tied], axis=1, kind="stable")[:, :k]
+    return top
 
 
 def topk_accuracy(trace: PredictionTrace, k: int) -> float:
@@ -501,12 +520,13 @@ def load_trace_set(
     directory.
     """
     manifest_path = Path(manifest_path)
-    doc = read_json(manifest_path, "manifest")
+    where = f"manifest {manifest_path}"
+    doc = expect_object(read_json(manifest_path, "manifest"), where)
 
     required = {"num_classes", "num_samples", "labels_file", "edge", "experts"}
     missing = required - set(doc)
     if missing:
-        raise ConfigError(f"manifest missing keys: {sorted(missing)}")
+        raise ConfigError(f"{where} missing keys: {sorted(missing)}")
     n = doc["num_classes"]
     m = doc["num_samples"]
     if not (isinstance(n, int) and isinstance(m, int)) or n < 2 or m < 1:
@@ -515,6 +535,8 @@ def load_trace_set(
     base = manifest_path.parent
 
     def resolve(p: str) -> Path:
+        if not isinstance(p, str):
+            raise ConfigError(f"{where} file path must be a JSON string, got {p!r}")
         path = Path(p)
         return path if path.is_absolute() else base / path
 
@@ -527,9 +549,10 @@ def load_trace_set(
             f"out of range [0, {n})"
         )
 
-    def load_entry(entry: Mapping, what: str) -> PredictionTrace:
+    def load_entry(entry, what: str) -> PredictionTrace:
+        expect_object(entry, f"{where} {what} entry")
         if "name" not in entry or "logits_file" not in entry:
-            raise ConfigError(f"manifest {what} entry needs 'name' and 'logits_file'")
+            raise ConfigError(f"{where} {what} entry needs 'name' and 'logits_file'")
         path = resolve(entry["logits_file"])
         flat = _read_exact(path, np.dtype("<f4"), m * n, f"logits ({entry['name']})")
         try:
@@ -541,9 +564,13 @@ def load_trace_set(
 
     edge = load_entry(doc["edge"], "edge")
     experts: dict[DomainSet, PredictionTrace] = {}
+    if not isinstance(doc["experts"], list):
+        raise ConfigError(f"{where} 'experts' must be a JSON array")
     for entry in doc["experts"]:
-        if "domain" not in entry:
-            raise ConfigError("manifest expert entry missing 'domain'")
+        if "domain" not in expect_object(entry, f"{where} expert entry"):
+            raise ConfigError(f"{where} expert entry missing 'domain'")
+        if not isinstance(entry["domain"], list):
+            raise ConfigError(f"{where} expert 'domain' must be a JSON array of partitions")
         domain = DomainSet.of(entry["domain"])
         if domain in experts:
             raise ConfigError(f"manifest lists expert domain {domain.label} twice")

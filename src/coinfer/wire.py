@@ -16,6 +16,7 @@ payload integers are little-endian. Three message types exist:
 The server recomputes the domain from the transmitted top-k indices, so
 the partition map stays authoritative in one place. Byte offsets in
 decode errors count from the start of the frame (payload begins at 9).
+Readers refuse a payload longer than ``MAX_PAYLOAD_BYTES`` (1 MiB).
 """
 
 from __future__ import annotations
@@ -54,6 +55,7 @@ __all__ = [
     "encode",
     "decode",
     "read_message",
+    "MAX_PAYLOAD_BYTES",
     "NearEdgeServer",
     "run_edge_client",
     "DelayedProxy",
@@ -73,6 +75,11 @@ ERR_INTERNAL = 4
 
 _U32_MAX = 2**32 - 1
 _U64_MAX = 2**64 - 1
+
+# Largest payload read_message accepts, so that one header cannot make a
+# reader buffer up to 4 GiB. Every frame this module sends fits: an error
+# message is at most 64 KiB and a trace-mode request with k=255 about 1 KB.
+MAX_PAYLOAD_BYTES = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -296,13 +303,21 @@ def _read_exactly(
 
 
 def read_message(stream: BinaryIO) -> Message | None:
-    """Read the next frame from a blocking stream; None on clean EOF."""
+    """Read the next frame from a blocking stream; None on clean EOF.
+
+    A header claiming more than ``MAX_PAYLOAD_BYTES`` is rejected with
+    ProtocolError before any of the payload is read.
+    """
     header = _read_exactly(stream, _HEADER.size, "header", base=0, eof_ok=True)
     if header is None:
         return None
     magic, msg_type, length = _HEADER.unpack(header)
     if magic != MAGIC:
         raise ProtocolError(f"bad magic {magic!r}, expected {MAGIC!r}", offset=0)
+    if length > MAX_PAYLOAD_BYTES:
+        raise ProtocolError(
+            f"payload length {length} exceeds the {MAX_PAYLOAD_BYTES}-byte limit", offset=5
+        )
     payload = _read_exactly(stream, length, "payload", base=_HEADER.size)
     return _decode_payload(msg_type, payload)
 
@@ -526,7 +541,7 @@ def run_edge_client(
     extra attempts.
     """
     check_threshold(threshold)
-    conf, local_pred, top, domains = gate_signals(edge_trace, pm, k)
+    conf, local_pred, top, codes, table = gate_signals(edge_trace, pm, k)
     offload_rows = np.flatnonzero(conf < threshold)
 
     requests = [
@@ -558,10 +573,11 @@ def run_edge_client(
         resp = responses.get(i)
         if resp is None:
             raise TransportError(f"no response for sample {i}")
-        if resp.domain != domains[i]:
+        domain = table[codes[i]]
+        if resp.domain != domain:
             raise ProtocolError(
                 f"server routed sample {i} to {resp.domain.label}, "
-                f"client derived {domains[i].label}"
+                f"client derived {domain.label}"
             )
         refined[i] = resp.predicted_class
     primitives = RoutingPrimitives(
@@ -569,7 +585,8 @@ def run_edge_client(
         confidences=conf,
         local_predictions=local_pred,
         topk=top,
-        domains=domains,
+        codes=codes,
+        domain_table=table,
         refined=refined,
     )
     return apply_gate(primitives, edge_trace.labels, threshold)

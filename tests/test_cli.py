@@ -110,6 +110,66 @@ def test_unreadable_sweep_config_exits_2_naming_the_file(tmp_path, capsys, argv,
     assert str(path) in capsys.readouterr().err
 
 
+def _sweep_doc(workspace, manifest) -> dict:
+    return {
+        "thresholds": [0.9], "k": 2, "partitions": str(workspace / "partitions.json"),
+        "manifest": str(manifest), "profiles": "builtin",
+        "edge_profile": {"device": "rpi5", "model": "deit-3h"},
+        "near_profile": {"device": "agx-orin", "model": "deit-6h"},
+    }
+
+
+def _with(doc: dict, key: str, value):
+    return value if key == "" else {**doc, key: value}
+
+
+# (document, key to replace or "" for the whole document, value)
+WRONG_SHAPES = {
+    "config-number": ("config", "", 5),
+    "config-array": ("config", "", ["thresholds"]),
+    "config-thresholds-number": ("config", "thresholds", 5),
+    "config-comm-number": ("config", "comm", 5),
+    "config-expert_profiles-array": ("config", "expert_profiles", [1, 2]),
+    "manifest-number": ("manifest", "", 5),
+    "manifest-edge-number": ("manifest", "edge", 5),
+    "manifest-near_generalist-string": ("manifest", "near_generalist", "near.bin"),
+    "manifest-experts-number": ("manifest", "experts", 5),
+    "manifest-experts-entry-number": ("manifest", "experts", [5]),
+    "manifest-experts-domain-number": (
+        "manifest", "experts", [{"domain": 1, "name": "x", "logits_file": "x.bin"}]
+    ),
+    "manifest-labels_file-number": ("manifest", "labels_file", 5),
+}
+
+
+@pytest.mark.parametrize("command", ["validate", "sweep"])
+@pytest.mark.parametrize(
+    "document,key,value", list(WRONG_SHAPES.values()), ids=list(WRONG_SHAPES)
+)
+def test_json_of_the_wrong_shape_exits_2_naming_the_file(
+    workspace, tmp_path, capsys, command, document, key, value
+):
+    good_manifest = workspace / "traces" / "manifest.json"
+    # Beside the good manifest, so its relative data paths still resolve.
+    manifest = workspace / "traces" / f"{tmp_path.name}.json"
+    config = tmp_path / "sweep.json"
+    if document == "manifest":
+        manifest.write_text(json.dumps(_with(json.loads(good_manifest.read_text()), key, value)))
+        config.write_text(json.dumps(_sweep_doc(workspace, manifest)))
+        bad = manifest
+    else:
+        config.write_text(json.dumps(_with(_sweep_doc(workspace, good_manifest), key, value)))
+        bad = config
+    if command == "sweep":
+        argv = ["sweep", "--config", str(config), "--output", str(tmp_path / "r")]
+    else:
+        argv = ["validate", f"--{'sweep-config' if document == 'config' else 'manifest'}", str(bad)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert str(bad) in err
+    assert "must be a JSON" in err
+
+
 def test_sweep_flag_form_writes_reports(workspace, capsys):
     out_base = workspace / "flagsweep"
     rc = main(["sweep",

@@ -1,5 +1,6 @@
 import json
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -68,6 +69,26 @@ class TestCostProfile:
         assert p.latency_at(query) <= p.latency_at(query + 1.0) + 1e-9
 
 
+    @given(
+        knots=st.lists(
+            st.tuples(st.integers(1, 100), st.floats(0.0, 1e4), st.floats(0.0, 1e4)),
+            min_size=1, max_size=5,
+            unique_by=lambda t: t[0],
+        ),
+        queries=st.lists(st.integers(0, 300), min_size=1, max_size=20),
+    )
+    def test_array_query_equals_scalar_calls(self, knots, queries):
+        knots = sorted(knots)
+        p = CostProfile("d", "m", tuple(b for b, _, _ in knots),
+                        tuple(t for _, t, _ in knots), tuple(e for _, _, e in knots))
+        # 0, the last knot and one past it, besides the drawn queries
+        batch = np.array(queries + [0, knots[-1][0], knots[-1][0] + 1])
+        for price in (p.latency_at, p.energy_at):
+            scalar = [price(int(b)) for b in batch]
+            assert all(type(v) is float for v in scalar)
+            assert price(batch).tolist() == scalar
+
+
 class TestCommModel:
     def test_zero_offload_costs_nothing(self):
         c = CommModel(rtt_ms=5.0, per_sample_ms=1.0, per_sample_mj=2.0)
@@ -78,6 +99,12 @@ class TestCommModel:
         c = CommModel(rtt_ms=5.0, per_sample_ms=0.5, per_sample_mj=2.0)
         assert c.latency_ms(4) == 7.0
         assert c.energy_mj(4) == 8.0
+
+    def test_array_counts_equal_scalar_calls(self):
+        c = CommModel(rtt_ms=2.0, per_sample_ms=0.1, per_sample_mj=0.5)
+        n = np.array([0, 1, 3, 32, 1000])
+        assert c.latency_ms(n).tolist() == [c.latency_ms(int(x)) for x in n]
+        assert c.energy_mj(n).tolist() == [c.energy_mj(int(x)) for x in n]
 
     def test_rejects_negative_terms(self):
         with pytest.raises(ConfigError):

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from coinfer.cost import CommModel, CostProfile
+from coinfer.cost import BatchCost, CommModel, CostProfile, compose_batch_cost
 from coinfer.data import builtin_device_profiles
 from coinfer.errors import ConfigError
 from coinfer.harness import (
@@ -14,6 +14,8 @@ from coinfer.harness import (
     roi_ratios,
     run_sweep,
 )
+from coinfer.partition import DomainSet, enumerate_expert_domains
+from coinfer.router import apply_gate, compute_routing_primitives
 from coinfer.trace import TraceTargets, synthesize_trace_set, topk_accuracy
 from conftest import make_partition_map
 
@@ -138,6 +140,9 @@ class TestBaselines:
         edge = rows["edge_only"]
         assert edge.alpha == 0.0
         assert edge.accuracy == topk_accuracy(ts.edge, 1)
+        prims = compute_routing_primitives(ts, pm, 2)
+        reused = baseline_costs(toy_config(), ts, toy_profiles(), prims)["edge_only"]
+        assert reused == edge
         # 40 batches of 10, no offloads, no comm
         assert edge.cost.t_total_ms == pytest.approx(40 * 100.0)
         assert edge.cost.t_comm_ms == 0.0
@@ -260,6 +265,78 @@ class TestRunSweep:
         assert mixed.rows[0].accuracy == plain.rows[0].accuracy
         assert mixed.rows[0].offload_count == plain.rows[0].offload_count
         assert mixed.rows[0].histogram == plain.rows[0].histogram
+
+
+def reference_sweep(cfg, ts, pm, profiles):
+    """The per-batch pricing loop, one sample and one batch at a time.
+
+    Per threshold: histograms built in sample order, one
+    compose_batch_cost call per batch, summed one BatchCost at a time.
+    """
+    prims = compute_routing_primitives(ts, pm, cfg.k, cfg.mask_to_domain)
+    experts = None
+    if cfg.expert_profiles is not None:
+        experts = {DomainSet.from_label(label): profiles[key]
+                   for label, key in cfg.expert_profiles.items()}
+    m, bs = ts.num_samples, cfg.batch_size
+    sizes = [bs] * (m // bs) + ([m % bs] if m % bs else [])
+    rows = []
+    for tau in cfg.thresholds:
+        outcome = apply_gate(prims, ts.labels, tau)
+        total = BatchCost(0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
+        histogram: dict = {}
+        start = 0
+        for b in sizes:
+            hist: dict = {}
+            for i in range(start, start + b):
+                if outcome.offloaded[i]:
+                    dom = outcome.domains[i]
+                    hist[dom] = hist.get(dom, 0) + 1
+                    histogram[dom] = histogram.get(dom, 0) + 1
+            total = total + compose_batch_cost(
+                b, hist, profiles[cfg.edge_profile],
+                near_profile=profiles[cfg.near_profile], expert_profiles=experts,
+                comm=cfg.comm, aggregation=cfg.aggregation,
+            )
+            start += b
+        rows.append((outcome.offload_count, histogram, total))
+    return rows
+
+
+class TestPricingMatchesPerBatchReference:
+    @staticmethod
+    def world():
+        pm, ts = toy_world(seed=31, m=95, n=12, s=4)  # the tenth batch holds 5
+        profiles = dict(toy_profiles())
+        labels = {}
+        for j, dom in enumerate(enumerate_expert_domains(4, 2)):
+            key = ("expert-dev", dom.label)
+            profiles[key] = CostProfile(
+                *key, (2, 6), (3.0 + 1.7 * j, 9.5 + 2.3 * j), (0.7 + 0.45 * j, 2.9 + 1.1 * j)
+            )
+            labels[dom.label] = key
+        return pm, ts, profiles, labels
+
+    @pytest.mark.parametrize("aggregation", ["monolithic", "serial", "parallel"])
+    def test_run_sweep_totals_equal_reference(self, aggregation):
+        pm, ts, profiles, labels = self.world()
+        cfg = toy_config(
+            thresholds=(1.0, 0.8, 0.6, 0.3, 0.0),
+            aggregation=aggregation,
+            expert_profiles=labels,
+        )
+        result = run_sweep(cfg, ts=ts, pm=pm, profiles=profiles)
+        want = reference_sweep(cfg, ts, pm, profiles)
+        assert result.rows[0].offload_count == ts.num_samples  # tau=1 offloads all
+        assert result.rows[-1].offload_count == 0
+        for row, (count, histogram, total) in zip(result.rows, want):
+            assert row.offload_count == count
+            assert row.histogram == histogram
+            for field in ("t_edge_ms", "t_near_ms", "t_comm_ms",
+                          "e_edge_mj", "e_near_mj", "e_comm_mj"):
+                assert getattr(row.cost, field) == pytest.approx(
+                    getattr(total, field), rel=1e-12, abs=0.0
+                ), field
 
 
 class TestReports:

@@ -1,4 +1,5 @@
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -18,7 +19,7 @@ from coinfer.router import (
     offload_proportion_curve,
 )
 from coinfer.trace import PredictionTrace, TraceSet, TraceTargets, synthesize_trace_set
-from conftest import make_partition_map, random_trace_set
+from conftest import lattice_logits, make_partition_map, random_trace_set
 
 
 def one_row_trace_set(pm, k, edge_row, expert_row=None):
@@ -226,6 +227,33 @@ class TestCollaborativeInfer:
         for i in np.flatnonzero(outcome.offloaded):
             part = pm.assignment[outcome.predictions[i]]
             assert part in outcome.domains[i].indices
+
+
+class TestDomainCodes:
+    @pytest.mark.parametrize("n,s,k", [(12, 4, 3), (12, 4, 1), (8, 8, 8), (140, 70, 3)])
+    def test_codes_index_a_table_of_distinct_domains(self, n, s, k):
+        rng = np.random.default_rng(n + s + k)
+        pm = make_partition_map(n, s)
+        edge = PredictionTrace("edge", lattice_logits(rng, 300, n), rng.integers(0, n, 300))
+        _, _, top, codes, table = gate_signals(edge, pm, k)
+        assert len(set(table)) == len(table)
+        assert sorted(set(codes.tolist())) == list(range(len(table)))
+        for i in range(edge.num_samples):
+            assert table[codes[i]] == domain_of_topk(pm, top[i])
+
+    def test_histogram_counts_offloaded_domains(self):
+        rng = np.random.default_rng(29)
+        pm = make_partition_map(12, 4)
+        ts = random_trace_set(rng, 400, 12, pm, k=3)
+        prims = compute_routing_primitives(ts, pm, 3)
+        for i in range(ts.num_samples):
+            assert prims.domains[i] == prims.domain_table[prims.codes[i]]
+            assert prims.domains[i] == domain_of_topk(pm, prims.topk[i])
+        for tau in (0.0, 0.4, 0.8, 1.0):
+            outcome = apply_gate(prims, ts.labels, tau)
+            want = Counter(d for d, off in zip(outcome.domains, outcome.offloaded) if off)
+            assert outcome.histogram == want
+            assert 0 not in outcome.histogram.values()
 
 
 def compute_domains(pm, k):

@@ -22,7 +22,7 @@ from coinfer.trace import (
     topk_matrix,
     write_trace_set,
 )
-from conftest import make_partition_map
+from conftest import lattice_logits, make_partition_map
 
 
 def test_prediction_trace_validates_labels():
@@ -66,6 +66,29 @@ def test_topk_ties_break_by_ascending_class():
     assert topk_matrix(p, 2).tolist() == [[0, 1]]
     p = np.array([[0.1, 0.4, 0.4, 0.1]])
     assert topk_matrix(p, 2).tolist() == [[1, 2]]
+
+
+@settings(max_examples=80, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), m=st.integers(1, 40), n=st.integers(1, 12))
+def test_topk_matrix_equals_stable_argsort_for_every_k(seed, m, n):
+    p = softmax_matrix(lattice_logits(np.random.default_rng(seed), m, n))
+    ref = np.argsort(-p, axis=1, kind="stable")
+    for k in range(1, n + 1):
+        assert topk_matrix(p, k).tolist() == ref[:, :k].tolist()
+
+
+@pytest.mark.parametrize("row,k,want", [
+    ([0.2, 0.2, 0.2, 0.2, 0.2], 3, [0, 1, 2]),  # all equal
+    ([0.1, 0.3, 0.3, 0.3], 2, [1, 2]),  # the k-th value tied past the cut
+    ([0.3, 0.1, 0.3, 0.3], 2, [0, 2]),
+    ([0.2, 0.2, 0.5, 0.1], 2, [2, 0]),
+    ([0.1, 0.2, 0.2, 0.5], 3, [3, 1, 2]),  # tie inside the cut only
+])
+def test_topk_matrix_tie_order(row, k, want):
+    p = np.array([row, row[::-1]])
+    got = topk_matrix(p, k).tolist()
+    assert got[0] == want
+    assert got == np.argsort(-p, axis=1, kind="stable")[:, :k].tolist()
 
 
 def test_topk_accuracy_hand_case():

@@ -1,3 +1,4 @@
+import io
 import socket
 import threading
 import time
@@ -18,6 +19,7 @@ from coinfer.wire import (
     ERR_UNKNOWN_SAMPLE,
     ErrorMsg,
     MAGIC,
+    MAX_PAYLOAD_BYTES,
     NearEdgeServer,
     OffloadRequest,
     OffloadResponse,
@@ -101,6 +103,17 @@ class TestFraming:
         frame[22:24] = (0).to_bytes(2, "little")
         with pytest.raises(ProtocolError, match="offset 22"):
             decode(bytes(frame))
+
+    def test_oversized_payload_length_rejected_before_reading(self):
+        class HeaderOnly(io.BytesIO):
+            def read(self, n=-1):
+                assert self.tell() < 9, "read past the header"
+                return super().read(n)
+
+        header = MAGIC + bytes([1]) + (MAX_PAYLOAD_BYTES + 1).to_bytes(4, "little")
+        with pytest.raises(ProtocolError, match="exceeds") as exc:
+            read_message(HeaderOnly(header + bytes(64)))
+        assert exc.value.offset == 5
 
     def test_request_needs_exactly_one_body_kind(self):
         with pytest.raises(ValueError):
@@ -241,6 +254,20 @@ class TestServer:
                 reply = read_message(rfile)
                 assert isinstance(reply, ErrorMsg)
                 assert reply.code == ERR_BAD_FRAME
+                assert rfile.read(1) == b""  # connection closed
+
+    def test_oversized_frame_header_gets_bad_frame_then_close(self):
+        pm, ts = small_trace_set(seed=6, m=20)
+        with NearEdgeServer(("127.0.0.1", 0), ts, pm, 2) as server:
+            with socket.create_connection(server.address, timeout=5) as sock:
+                rfile = sock.makefile("rb")
+                started = time.monotonic()
+                sock.sendall(MAGIC + bytes([1]) + (2**32 - 1).to_bytes(4, "little"))
+                reply = read_message(rfile)
+                assert time.monotonic() - started < 2.0
+                assert isinstance(reply, ErrorMsg)
+                assert reply.code == ERR_BAD_FRAME
+                assert "exceeds" in reply.message
                 assert rfile.read(1) == b""  # connection closed
 
     def test_pipelined_requests_answered_in_order(self):
