@@ -17,7 +17,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .errors import ConfigError, read_json
+from .errors import ConfigError, expect_array, expect_object, read_json
 from .partition import DomainSet
 
 __all__ = [
@@ -53,7 +53,7 @@ class CostProfile:
             raise ConfigError(f"{name}: needs at least one point")
         if len({len(self.batches), len(self.latencies_ms), len(self.energies_mj)}) != 1:
             raise ConfigError(f"{name}: point arrays have mismatched lengths")
-        if any(b <= 0 or not isinstance(b, int) for b in self.batches):
+        if any(not isinstance(b, int) or b <= 0 for b in self.batches):
             raise ConfigError(f"{name}: batch sizes must be positive integers")
         if any(b >= c for b, c in zip(self.batches, self.batches[1:])):
             raise ConfigError(f"{name}: batch sizes must be strictly increasing, got {self.batches}")
@@ -254,31 +254,49 @@ def load_cost_profiles(source: str | Path | Mapping) -> dict[tuple[str, str], Co
     """Parse a cost profile document into profiles keyed by (device, model).
 
     Each point carries ``latency_ms`` and exactly one of ``energy_mj``
-    or ``power_w``; power is converted at load time (mJ = W x ms).
+    or ``power_w``; power is converted at load time (mJ = W x ms). Every
+    error in a document read from a file names the file.
     """
-    if isinstance(source, (str, Path)):
-        doc = read_json(source, "cost profile document")
-    else:
-        doc = source
+    if not isinstance(source, (str, Path)):
+        return _parse_cost_profiles(source)
+    doc = read_json(source, "cost profile document")
+    try:
+        return _parse_cost_profiles(doc)
+    except ConfigError as exc:
+        raise ConfigError(f"cost profile document {source}: {exc}") from None
+
+
+def _number(point: Mapping, key: str, where: str) -> float:
+    try:
+        return float(point[key])
+    except (TypeError, ValueError):
+        raise ConfigError(f"{where}: {key} must be a number, got {point[key]!r}") from None
+
+
+def _parse_cost_profiles(doc) -> dict[tuple[str, str], CostProfile]:
     if not isinstance(doc, Mapping) or "profiles" not in doc:
         raise ConfigError("cost profile document must be an object with a 'profiles' list")
 
     out: dict[tuple[str, str], CostProfile] = {}
-    for i, entry in enumerate(doc["profiles"]):
+    for i, entry in enumerate(expect_array(doc["profiles"], "profiles")):
         where = f"profiles[{i}]"
+        expect_object(entry, where)
         for key in ("device", "model", "points"):
             if key not in entry:
                 raise ConfigError(f"{where}: missing {key!r}")
+        if not (isinstance(entry["device"], str) and isinstance(entry["model"], str)):
+            raise ConfigError(f"{where}: device and model must be strings")
         batches, lats, energies = [], [], []
-        for j, pt in enumerate(entry["points"]):
+        for j, pt in enumerate(expect_array(entry["points"], f"{where}.points")):
             pw = f"{where}.points[{j}]"
+            expect_object(pt, pw)
             if "batch" not in pt or "latency_ms" not in pt:
                 raise ConfigError(f"{pw}: needs 'batch' and 'latency_ms'")
             has_e, has_p = "energy_mj" in pt, "power_w" in pt
             if has_e == has_p:
                 raise ConfigError(f"{pw}: exactly one of 'energy_mj' or 'power_w' required")
-            lat = float(pt["latency_ms"])
-            energy = float(pt["energy_mj"]) if has_e else float(pt["power_w"]) * lat
+            lat = _number(pt, "latency_ms", pw)
+            energy = _number(pt, "energy_mj", pw) if has_e else _number(pt, "power_w", pw) * lat
             batches.append(pt["batch"])
             lats.append(lat)
             energies.append(energy)

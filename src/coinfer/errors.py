@@ -53,9 +53,19 @@ _JSON_KINDS = {
 }
 
 
+def _kind(value) -> str:
+    return _JSON_KINDS.get(type(value), type(value).__name__)
+
+
 def expect_object(value, what: str) -> Mapping:
     """Return ``value`` if it is a JSON object, else raise ConfigError naming ``what``."""
     if not isinstance(value, Mapping):
-        kind = _JSON_KINDS.get(type(value), type(value).__name__)
-        raise ConfigError(f"{what} must be a JSON object, got {kind}")
+        raise ConfigError(f"{what} must be a JSON object, got {_kind(value)}")
+    return value
+
+
+def expect_array(value, what: str) -> list:
+    """Return ``value`` if it is a JSON array, else raise ConfigError naming ``what``."""
+    if not isinstance(value, list):
+        raise ConfigError(f"{what} must be a JSON array, got {_kind(value)}")
     return value

@@ -46,19 +46,16 @@ def _check_gate_params(threshold: float, k: int, num_classes: int):
         raise ValueError(f"k must be an integer in [1, {num_classes}], got {k!r}")
 
 
-def expert_argmax(
-    logits: np.ndarray, pm: PartitionMap, domain: DomainSet, mask_to_domain: bool
-) -> np.ndarray:
+def expert_argmax(logits: np.ndarray, allowed: np.ndarray | None = None) -> np.ndarray:
     """Expert prediction for each row of ``logits`` (or for one 1-D row).
 
     By default the argmax over the full label space (experts are
-    specialized by training, not by output masking). With
-    ``mask_to_domain`` the argmax is restricted to classes inside the
-    routed ``domain``.
+    specialized by training, not by output masking). Given ``allowed``,
+    the class indices of the routed domain (``pm.classes_in(domain)``),
+    the argmax is restricted to them.
     """
-    if not mask_to_domain:
+    if allowed is None:
         return logits.argmax(axis=-1)
-    allowed = pm.classes_in(domain)
     return allowed[logits[..., allowed].argmax(axis=-1)]
 
 
@@ -135,7 +132,8 @@ def compute_routing_primitives(
         expert = ts.experts.get(dom)
         if expert is None:
             raise CoinferError(f"no expert trace for routed domain {dom.label}")
-        refined[rows] = expert_argmax(expert.logits[rows], pm, dom, mask_to_domain)
+        allowed = pm.classes_in(dom) if mask_to_domain else None
+        refined[rows] = expert_argmax(expert.logits[rows], allowed)
 
     return RoutingPrimitives(
         k=k,

@@ -32,7 +32,7 @@ from typing import BinaryIO
 import numpy as np
 
 from .errors import ProtocolError, TransportError
-from .partition import DomainSet, PartitionMap, domain_of_topk
+from .partition import DomainSet, PartitionMap
 from .router import (
     CollabOutcome,
     RoutingPrimitives,
@@ -265,15 +265,29 @@ def _decode_payload(msg_type: int, payload: bytes) -> Message:
     raise ProtocolError(f"unknown message type {msg_type}", offset=4)
 
 
+def _check_header(data, pos: int = 0) -> tuple[int, int]:
+    """Message type and payload length of the frame header at ``data[pos:]``.
+
+    Bad magic and a payload longer than ``MAX_PAYLOAD_BYTES`` raise
+    ProtocolError, so no reader buffers the payload of such a frame.
+    """
+    magic, msg_type, length = _HEADER.unpack_from(data, pos)
+    if magic != MAGIC:
+        raise ProtocolError(f"bad magic {magic!r}, expected {MAGIC!r}", offset=0)
+    if length > MAX_PAYLOAD_BYTES:
+        raise ProtocolError(
+            f"payload length {length} exceeds the {MAX_PAYLOAD_BYTES}-byte limit", offset=5
+        )
+    return msg_type, length
+
+
 def decode(data: bytes) -> Message:
     """Parse exactly one frame; trailing bytes are an error."""
     if len(data) < _HEADER.size:
         raise ProtocolError(
             f"frame shorter than the {_HEADER.size}-byte header", offset=len(data)
         )
-    magic, msg_type, length = _HEADER.unpack_from(data, 0)
-    if magic != MAGIC:
-        raise ProtocolError(f"bad magic {magic!r}, expected {MAGIC!r}", offset=0)
+    msg_type, length = _check_header(data)
     if len(data) != _HEADER.size + length:
         raise ProtocolError(
             f"frame length {len(data)} does not match header "
@@ -311,13 +325,7 @@ def read_message(stream: BinaryIO) -> Message | None:
     header = _read_exactly(stream, _HEADER.size, "header", base=0, eof_ok=True)
     if header is None:
         return None
-    magic, msg_type, length = _HEADER.unpack(header)
-    if magic != MAGIC:
-        raise ProtocolError(f"bad magic {magic!r}, expected {MAGIC!r}", offset=0)
-    if length > MAX_PAYLOAD_BYTES:
-        raise ProtocolError(
-            f"payload length {length} exceeds the {MAX_PAYLOAD_BYTES}-byte limit", offset=5
-        )
+    msg_type, length = _check_header(header)
     payload = _read_exactly(stream, length, "payload", base=_HEADER.size)
     return _decode_payload(msg_type, payload)
 
@@ -327,36 +335,79 @@ def read_message(stream: BinaryIO) -> Message | None:
 # ---------------------------------------------------------------------------
 
 
-class _Handler(socketserver.StreamRequestHandler):
-    def handle(self):
-        server: NearEdgeServer = self.server.owner
-        while True:
-            try:
-                msg = read_message(self.rfile)
-            except ProtocolError as exc:
-                # The stream may be desynchronized; report and drop it.
-                self._send(ErrorMsg(request_id=0, code=ERR_BAD_FRAME, message=str(exc)))
-                return
-            if msg is None:
-                return
-            if not isinstance(msg, OffloadRequest):
-                self._send(
-                    ErrorMsg(
-                        request_id=getattr(msg, "request_id", 0),
-                        code=ERR_BAD_FRAME,
-                        message=f"server accepts only offload requests, got type "
-                        f"{type(msg).__name__}",
-                    )
-                )
-                return
-            self._send(server.answer(msg))
+# Bytes asked of each recv on a server connection.
+_RECV_BYTES = 64 * 1024
 
-    def _send(self, msg: Message):
+
+def _answer_frames(buf: bytearray, answer) -> tuple[bytearray, bool]:
+    """Answer every complete frame at the front of ``buf`` and remove them.
+
+    Returns the encoded replies, in request order, and whether the
+    connection must close: a bad frame or a message other than a request
+    is answered with ``ERR_BAD_FRAME`` after the replies before it, since
+    the stream may be desynchronized. A header is checked as soon as it
+    is buffered, so an oversized frame is refused before its payload.
+    """
+    out = bytearray()
+    pos = 0
+    try:
+        while len(buf) - pos >= _HEADER.size:
+            msg_type, length = _check_header(buf, pos)
+            end = pos + _HEADER.size + length
+            if end > len(buf):
+                break
+            msg = _decode_payload(msg_type, bytes(buf[pos + _HEADER.size : end]))
+            pos = end
+            if not isinstance(msg, OffloadRequest):
+                out += encode(ErrorMsg(
+                    request_id=getattr(msg, "request_id", 0),
+                    code=ERR_BAD_FRAME,
+                    message=f"server accepts only offload requests, got type "
+                    f"{type(msg).__name__}",
+                ))
+                return out, True
+            out += encode(answer(msg))
+    except ProtocolError as exc:
+        out += encode(ErrorMsg(request_id=0, code=ERR_BAD_FRAME, message=str(exc)))
+        return out, True
+    del buf[:pos]
+    return out, False
+
+
+class _Handler(socketserver.BaseRequestHandler):
+    """One connection: each read's complete frames are answered in one write.
+
+    Nagle is off, so a reply leaves at once instead of waiting for the
+    client to acknowledge the previous one; batching the replies of one
+    read keeps a pipelining client to one send per read.
+    """
+
+    def handle(self):
+        answer = self.server.owner.answer
+        sock: socket.socket = self.request
+        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        buf = bytearray()
         try:
-            self.wfile.write(encode(msg))
-            self.wfile.flush()
+            while True:
+                chunk = sock.recv(_RECV_BYTES)
+                if not chunk:
+                    if buf:
+                        what = "header" if len(buf) < _HEADER.size else "payload"
+                        exc = ProtocolError(
+                            f"connection closed mid-frame reading {what}", offset=len(buf)
+                        )
+                        sock.sendall(encode(
+                            ErrorMsg(request_id=0, code=ERR_BAD_FRAME, message=str(exc))
+                        ))
+                    return
+                buf += chunk
+                replies, close = _answer_frames(buf, answer)
+                if replies:
+                    sock.sendall(replies)
+                if close:
+                    return
         except OSError:
-            pass
+            return
 
 
 class _TCPServer(socketserver.ThreadingTCPServer):
@@ -387,6 +438,17 @@ class NearEdgeServer:
         self.pm = pm
         self.k = k
         self.mask_to_domain = mask_to_domain
+        # Everything a request needs that depends only on the expert library,
+        # keyed by the sorted partition tuple of a routed domain.
+        self._class_partition = pm.assignment.tolist()
+        self._routes = {
+            domain.indices: (
+                domain,
+                expert.logits,
+                pm.classes_in(domain) if mask_to_domain else None,
+            )
+            for domain, expert in ts.experts.items()
+        }
         self._tcp = _TCPServer(listen_addr, _Handler)
         self._tcp.owner = self
         self._thread: threading.Thread | None = None
@@ -400,23 +462,20 @@ class NearEdgeServer:
         """Pure request-to-response mapping; shared by every connection."""
         started = time.perf_counter_ns()
         n = self.ts.num_classes
-        if any(c >= n for c in req.topk):
+        if max(req.topk) >= n:
             return ErrorMsg(
                 request_id=req.request_id,
                 code=ERR_BAD_FRAME,
                 message=f"top-k indices {list(req.topk)} exceed the label space ({n} classes)",
             )
-        try:
-            domain = domain_of_topk(self.pm, np.asarray(req.topk))
-        except Exception as exc:
-            return ErrorMsg(request_id=req.request_id, code=ERR_INTERNAL, message=str(exc))
-
-        expert = self.ts.experts.get(domain)
-        if expert is None:
+        part = self._class_partition
+        key = tuple(sorted({part[c] for c in req.topk}))
+        route = self._routes.get(key)
+        if route is None:
             return ErrorMsg(
                 request_id=req.request_id,
                 code=ERR_NO_EXPERT,
-                message=f"no expert covers domain {domain.label}",
+                message=f"no expert covers domain {DomainSet(key).label}",
             )
 
         if req.payload is not None:
@@ -432,9 +491,8 @@ class NearEdgeServer:
                 message=f"sample index {req.sample_index} outside trace "
                 f"({self.ts.num_samples} samples)",
             )
-        predicted = int(
-            expert_argmax(expert.logits[req.sample_index], self.pm, domain, self.mask_to_domain)
-        )
+        domain, logits, allowed = route
+        predicted = int(expert_argmax(logits[req.sample_index], allowed))
 
         elapsed_us = min((time.perf_counter_ns() - started) // 1000, _U32_MAX)
         return OffloadResponse(
@@ -483,9 +541,10 @@ def _offload_over_socket(
     """One connection, pipelined: writer streams requests, reader collects."""
     responses: dict[int, OffloadResponse] = {}
     failure: list[BaseException] = []
-    with socket.create_connection(addr, timeout=timeout) as sock:
+    # The reader file is closed with the socket: an open one keeps the
+    # connection open after the socket object is closed.
+    with socket.create_connection(addr, timeout=timeout) as sock, sock.makefile("rb") as rfile:
         sock.settimeout(timeout)
-        rfile = sock.makefile("rb")
 
         def drain():
             try:
@@ -494,7 +553,9 @@ def _offload_over_socket(
                     if msg is None:
                         raise TransportError("server closed the connection early")
                     if isinstance(msg, ErrorMsg):
-                        raise TransportError(
+                        # A server error is a verdict on the request, not a
+                        # transport failure, so it is not retried.
+                        raise ProtocolError(
                             f"server error {msg.code} for request {msg.request_id}: {msg.message}"
                         )
                     if not isinstance(msg, OffloadResponse):
@@ -538,7 +599,8 @@ def run_edge_client(
     inference on the same inputs; the request_id of each offload is its
     sample index. The whole offload pass is retried on transport errors
     (the server is stateless, so replays are safe) up to ``retries``
-    extra attempts.
+    extra attempts; an error message from the server raises ProtocolError
+    at once, since a replay would get the same answer.
     """
     check_threshold(threshold)
     conf, local_pred, top, codes, table = gate_signals(edge_trace, pm, k)
@@ -602,6 +664,7 @@ class DelayedProxy:
 
     Lets a loopback deployment exhibit a configurable request-direction
     delay so measured round trips include a controlled network term.
+    Leaving the context closes every connection it opened.
     """
 
     def __init__(self, target: tuple[str, int], delay_ms: float, listen: tuple[str, int] = ("127.0.0.1", 0)):
@@ -610,13 +673,17 @@ class DelayedProxy:
         self._listener = socket.create_server(listen)
         self._accepting = True
         self._thread = threading.Thread(target=self._accept_loop, daemon=True)
+        # Each live connection's relay thread and its two sockets; the lock
+        # keeps an accept racing __exit__ from adding one after the sweep.
+        self._lock = threading.Lock()
+        self._open: dict[threading.Thread, tuple[socket.socket, socket.socket]] = {}
 
     @property
     def address(self) -> tuple[str, int]:
         return self._listener.getsockname()[:2]
 
     def _accept_loop(self):
-        while self._accepting:
+        while True:
             try:
                 client, _ = self._listener.accept()
             except OSError:
@@ -626,12 +693,27 @@ class DelayedProxy:
             except OSError:
                 client.close()
                 continue
-            threading.Thread(
-                target=self._pump, args=(client, upstream, self.delay_s), daemon=True
-            ).start()
-            threading.Thread(
-                target=self._pump, args=(upstream, client, 0.0), daemon=True
-            ).start()
+            relay = threading.Thread(target=self._relay, args=(client, upstream), daemon=True)
+            with self._lock:
+                if not self._accepting:
+                    client.close()
+                    upstream.close()
+                    return
+                self._open[relay] = (client, upstream)
+                relay.start()
+
+    def _relay(self, client: socket.socket, upstream: socket.socket):
+        """Pump both directions of one connection until both end, then close it."""
+        forward = threading.Thread(
+            target=self._pump, args=(client, upstream, self.delay_s), daemon=True
+        )
+        forward.start()
+        self._pump(upstream, client, 0.0)
+        forward.join()
+        with self._lock:
+            self._open.pop(threading.current_thread(), None)
+        client.close()
+        upstream.close()
 
     @staticmethod
     def _pump(src: socket.socket, dst: socket.socket, delay_s: float):
@@ -656,5 +738,19 @@ class DelayedProxy:
         return self
 
     def __exit__(self, *exc):
-        self._accepting = False
-        self._listener.close()
+        with self._lock:
+            self._accepting = False
+            relays = dict(self._open)
+        sockets = [self._listener, *(sock for pair in relays.values() for sock in pair)]
+        # Shutting a socket down wakes the thread blocked on it; close alone
+        # does not.
+        for sock in sockets:
+            try:
+                sock.shutdown(socket.SHUT_RDWR)
+            except OSError:
+                pass
+        deadline = time.monotonic() + 2.0
+        for t in [self._thread, *relays]:
+            t.join(timeout=max(0.0, deadline - time.monotonic()))
+        for sock in sockets:
+            sock.close()

@@ -170,6 +170,45 @@ def test_json_of_the_wrong_shape_exits_2_naming_the_file(
     assert "must be a JSON" in err
 
 
+def _profiles_doc(points) -> dict:
+    return {"profiles": [{"device": "rpi5", "model": "deit-3h", "points": points}]}
+
+
+# (cost profile document, what the error must name besides the file)
+WRONG_PROFILES = {
+    "profiles-number": ({"profiles": 5}, "profiles must be a JSON array"),
+    "profiles-entry-number": ({"profiles": [5]}, "profiles[0] must be a JSON object"),
+    "points-number": (_profiles_doc(5), "profiles[0].points must be a JSON array"),
+    "points-entry-number": (_profiles_doc([5]), "profiles[0].points[0] must be a JSON object"),
+    "latency-string": (
+        _profiles_doc([{"batch": 1, "latency_ms": "x", "energy_mj": 1.0}]),
+        "profiles[0].points[0]: latency_ms must be a number",
+    ),
+}
+
+
+@pytest.mark.parametrize("command", ["validate", "sweep"])
+@pytest.mark.parametrize("doc,named", list(WRONG_PROFILES.values()), ids=list(WRONG_PROFILES))
+def test_cost_profiles_of_the_wrong_shape_exit_2_naming_the_file(
+    workspace, tmp_path, capsys, command, doc, named
+):
+    profiles = tmp_path / "profiles.json"
+    profiles.write_text(json.dumps(doc))
+    if command == "sweep":
+        config = tmp_path / "sweep.json"
+        config.write_text(json.dumps({
+            **_sweep_doc(workspace, workspace / "traces" / "manifest.json"),
+            "profiles": str(profiles),
+        }))
+        argv = ["sweep", "--config", str(config), "--output", str(tmp_path / "r")]
+    else:
+        argv = ["validate", "--profiles", str(profiles)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert str(profiles) in err
+    assert named in err
+
+
 def test_sweep_flag_form_writes_reports(workspace, capsys):
     out_base = workspace / "flagsweep"
     rc = main(["sweep",

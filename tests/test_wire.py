@@ -7,9 +7,10 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from coinfer import wire
 from coinfer.errors import ProtocolError, TransportError
 from coinfer.partition import DomainSet
-from coinfer.router import collaborative_infer
+from coinfer.router import collaborative_infer, compute_routing_primitives
 from coinfer.trace import TraceTargets, synthesize_trace_set
 from coinfer.wire import (
     DelayedProxy,
@@ -28,7 +29,7 @@ from coinfer.wire import (
     read_message,
     run_edge_client,
 )
-from conftest import make_partition_map
+from conftest import make_partition_map, random_trace_set
 
 GOLDEN_FRAME = bytes.fromhex(
     "434f5631" "01" "1a000000"
@@ -319,6 +320,192 @@ class TestServer:
         with pytest.raises(TransportError, match="attempts"):
             run_edge_client(("127.0.0.1", 1), ts.edge, pm, 1.0, 2,
                             timeout=0.5, retries=1)
+
+
+class TestServerLoop:
+    """One read, every complete frame answered, one write; Nagle off."""
+
+    @staticmethod
+    def _connect(server):
+        sock = socket.create_connection(server.address, timeout=5)
+        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        return sock, sock.makefile("rb")
+
+    def test_back_to_back_pair_is_not_held_for_an_ack(self):
+        pm, ts = small_trace_set(seed=14, m=100)
+        trips = []
+        with NearEdgeServer(("127.0.0.1", 0), ts, pm, 2) as server:
+            sock, rfile = self._connect(server)
+            with sock:
+                for i in range(0, 80, 2):
+                    first, second = (
+                        encode(OffloadRequest(request_id=j, topk=(0, 1), sample_index=j))
+                        for j in (i, i + 1)
+                    )
+                    start = time.perf_counter()
+                    sock.sendall(first)
+                    sock.sendall(second)
+                    replies = [read_message(rfile), read_message(rfile)]
+                    trips.append(time.perf_counter() - start)
+                    assert [r.request_id for r in replies] == [i, i + 1]
+        # A reply held back by Nagle waits for the client's delayed ACK (~40 ms).
+        assert np.median(trips) < 0.010
+
+    def test_accepted_connections_disable_nagle(self, monkeypatch):
+        # Whether the pair above stalls without TCP_NODELAY depends on thread
+        # timing, so the option itself is checked as well.
+        seen = []
+        handle = wire._Handler.handle
+
+        def recording_handle(handler):
+            handle(handler)
+            seen.append(handler.request.getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY))
+
+        monkeypatch.setattr(wire._Handler, "handle", recording_handle)
+        pm, ts = small_trace_set(seed=14, m=20)
+        with NearEdgeServer(("127.0.0.1", 0), ts, pm, 2) as server:
+            sock, rfile = self._connect(server)
+            with sock, rfile:
+                sock.sendall(encode(OffloadRequest(request_id=1, topk=(0, 1), sample_index=1)))
+                assert isinstance(read_message(rfile), OffloadResponse)
+            deadline = time.monotonic() + 5
+            while not seen and time.monotonic() < deadline:
+                time.sleep(0.01)
+        assert seen and seen[0] != 0
+
+    def test_request_written_one_byte_at_a_time_is_answered(self):
+        pm, ts = small_trace_set(seed=14, m=20)
+        frame = encode(OffloadRequest(request_id=6, topk=(0, 5), sample_index=3))
+        with NearEdgeServer(("127.0.0.1", 0), ts, pm, 2) as server:
+            sock, rfile = self._connect(server)
+            with sock:
+                for byte in frame:
+                    sock.sendall(bytes([byte]))
+                    time.sleep(0.001)
+                reply = read_message(rfile)
+        assert isinstance(reply, OffloadResponse)
+        assert reply.request_id == 6
+        assert reply.domain == DomainSet.of([1, 2])
+
+    def test_good_frames_before_garbage_are_answered_then_error_then_close(self):
+        pm, ts = small_trace_set(seed=14, m=20)
+        good = b"".join(
+            encode(OffloadRequest(request_id=i, topk=(0, 1), sample_index=i)) for i in (1, 2)
+        )
+        with NearEdgeServer(("127.0.0.1", 0), ts, pm, 2) as server:
+            sock, rfile = self._connect(server)
+            with sock:
+                sock.sendall(good + b"NOPE" + bytes(31))
+                replies = [read_message(rfile) for _ in range(3)]
+                assert rfile.read(1) == b""  # connection closed
+        assert [type(r) for r in replies] == [OffloadResponse, OffloadResponse, ErrorMsg]
+        assert [r.request_id for r in replies[:2]] == [1, 2]
+        assert replies[2].code == ERR_BAD_FRAME
+        assert "magic" in replies[2].message
+
+    def test_truncated_frame_at_eof_gets_mid_frame_error(self):
+        pm, ts = small_trace_set(seed=14, m=20)
+        frame = encode(OffloadRequest(request_id=1, topk=(0, 1), sample_index=1))
+        with NearEdgeServer(("127.0.0.1", 0), ts, pm, 2) as server:
+            sock, rfile = self._connect(server)
+            with sock:
+                sock.sendall(frame + frame[:15])
+                sock.shutdown(socket.SHUT_WR)
+                replies = [read_message(rfile) for _ in range(2)]
+                assert rfile.read(1) == b""  # connection closed
+        assert isinstance(replies[0], OffloadResponse)
+        assert isinstance(replies[1], ErrorMsg)
+        assert replies[1].code == ERR_BAD_FRAME
+        assert "mid-frame" in replies[1].message
+
+    def test_masked_server_matches_masked_primitives(self):
+        pm = make_partition_map(8, 4)
+        ts = random_trace_set(np.random.default_rng(15), 300, 8, pm, k=2)
+        prims = compute_routing_primitives(ts, pm, 2, mask_to_domain=True)
+        unmasked = compute_routing_primitives(ts, pm, 2)
+        assert (prims.refined != unmasked.refined).any(), "masking changes nothing here"
+        reqs = [
+            OffloadRequest(request_id=i, topk=tuple(int(c) for c in prims.topk[i]),
+                           sample_index=i)
+            for i in range(ts.num_samples)
+        ]
+        with NearEdgeServer(("127.0.0.1", 0), ts, pm, 2, mask_to_domain=True) as server:
+            sock, rfile = self._connect(server)
+            with sock:
+                sock.sendall(b"".join(encode(r) for r in reqs))
+                replies = [read_message(rfile) for _ in reqs]
+        assert [r.predicted_class for r in replies] == prims.refined.tolist()
+        assert [r.domain for r in replies] == list(prims.domains)
+
+    def test_more_than_k_partitions_gets_no_expert(self):
+        pm, ts = small_trace_set(seed=14, m=20)
+        with NearEdgeServer(("127.0.0.1", 0), ts, pm, 2) as server:
+            sock, rfile = self._connect(server)
+            with sock:
+                # classes 0, 1, 2 lie in partitions 1, 2, 3; the k=2 library
+                # has no expert for a three-partition domain
+                sock.sendall(encode(OffloadRequest(
+                    request_id=8, topk=(0, 1, 2), sample_index=0)))
+                reply = read_message(rfile)
+                sock.sendall(encode(OffloadRequest(request_id=9, topk=(0,), sample_index=0)))
+                after = read_message(rfile)
+        assert isinstance(reply, ErrorMsg)
+        assert reply.code == ERR_NO_EXPERT
+        assert reply.request_id == 8
+        assert "1+2+3" in reply.message
+        assert isinstance(after, OffloadResponse)  # the connection stays open
+
+
+def test_server_error_is_not_retried():
+    pm, ts = small_trace_set(seed=16, m=200)
+    accepted = []
+    stop = threading.Event()
+    listener = socket.create_server(("127.0.0.1", 0))
+    listener.settimeout(0.05)
+
+    def serve():
+        while not stop.is_set():
+            try:
+                conn, _ = listener.accept()
+            except TimeoutError:
+                continue
+            accepted.append(conn)
+            conn.settimeout(5)
+            with conn:
+                rfile = conn.makefile("rb")
+                try:
+                    while (msg := read_message(rfile)) is not None:
+                        conn.sendall(encode(ErrorMsg(
+                            request_id=msg.request_id, code=ERR_UNKNOWN_SAMPLE,
+                            message="unknown sample")))
+                except (OSError, ProtocolError):
+                    pass
+
+    thread = threading.Thread(target=serve, daemon=True)
+    thread.start()
+    try:
+        with pytest.raises(ProtocolError, match=r"server error 2 for request \d+"):
+            run_edge_client(listener.getsockname()[:2], ts.edge, pm, 1.0, 2,
+                            timeout=5.0, retries=2)
+    finally:
+        stop.set()
+        thread.join(timeout=10)
+        listener.close()
+    assert not thread.is_alive()
+    assert len(accepted) == 1
+
+
+def test_delayed_proxy_exit_closes_its_connections():
+    pm, ts = small_trace_set(seed=12, m=40)
+    with NearEdgeServer(("127.0.0.1", 0), ts, pm, 2) as server:
+        with DelayedProxy(server.address, delay_ms=0.0) as proxy:
+            sock = socket.create_connection(proxy.address, timeout=5)
+            rfile = sock.makefile("rb")
+            sock.sendall(encode(OffloadRequest(request_id=1, topk=(0, 1), sample_index=1)))
+            assert isinstance(read_message(rfile), OffloadResponse)
+        with sock:
+            sock.settimeout(2.0)
+            assert sock.recv(1) == b""  # EOF, not a timeout
 
 
 def test_delayed_proxy_adds_round_trip_latency():
