@@ -13,16 +13,16 @@ from pathlib import Path
 
 import numpy as np
 
-from .cost import load_cost_profiles
+from .cost import AGGREGATION_MODES
 from .data import (
     builtin_model_names,
     builtin_model_targets,
     builtin_partition_names,
-    load_builtin_partitions,
+    load_partition_spec,
+    load_profile_spec,
 )
 from .errors import CoinferError, ConfigError
 from .harness import SweepConfig, emit_report, run_sweep
-from .partition import PartitionMap, load_partition_map
 from .router import collaborative_infer
 from .schedule import DistillBatch, WeightSchedule, weighted_distill_loss
 from .trace import (
@@ -32,12 +32,6 @@ from .trace import (
     write_trace_set,
 )
 from .wire import NearEdgeServer, run_edge_client
-
-
-def _load_partitions(spec: str) -> PartitionMap:
-    if spec.startswith("builtin:"):
-        return load_builtin_partitions(spec.removeprefix("builtin:"))
-    return load_partition_map(spec)
 
 
 def _addr(text: str) -> tuple[str, int]:
@@ -62,7 +56,7 @@ def _print_outcome(outcome, dump_path: str | None):
 
 
 def _cmd_simulate(args) -> int:
-    pm = _load_partitions(args.partitions)
+    pm = load_partition_spec(args.partitions)
     ts = load_trace_set(args.manifest, pm, args.k)
     outcome = collaborative_infer(ts, pm, args.tau, args.k, mask_to_domain=args.mask_to_domain)
     _print_outcome(outcome, args.dump_predictions)
@@ -100,7 +94,7 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_serve(args) -> int:
-    pm = _load_partitions(args.partitions)
+    pm = load_partition_spec(args.partitions)
     ts = load_trace_set(args.manifest, pm, args.k)
     server = NearEdgeServer(
         _addr(args.listen), ts, pm, args.k, mask_to_domain=args.mask_to_domain
@@ -118,7 +112,7 @@ def _cmd_serve(args) -> int:
 
 
 def _cmd_client(args) -> int:
-    pm = _load_partitions(args.partitions)
+    pm = load_partition_spec(args.partitions)
     ts = load_trace_set(args.manifest)
     outcome = run_edge_client(
         _addr(args.server), ts.edge, pm, args.tau, args.k,
@@ -129,7 +123,7 @@ def _cmd_client(args) -> int:
 
 
 def _cmd_synth(args) -> int:
-    pm = _load_partitions(args.partitions)
+    pm = load_partition_spec(args.partitions)
     if args.model:
         targets = builtin_model_targets(args.model)
     else:
@@ -162,7 +156,7 @@ def _cmd_validate(args) -> int:
     checked = False
     pm = None
     if args.partitions:
-        pm = _load_partitions(args.partitions)
+        pm = load_partition_spec(args.partitions)
         print(f"OK partitions: {pm.num_partitions} partitions over {pm.num_classes} classes")
         checked = True
     if args.manifest:
@@ -175,7 +169,7 @@ def _cmd_validate(args) -> int:
               + (" (coverage checked)" if pm is not None else ""))
         checked = True
     if args.profiles:
-        profiles = load_cost_profiles(args.profiles)
+        profiles = load_profile_spec(args.profiles)
         print(f"OK profiles: {len(profiles)} device/model pairs")
         checked = True
     if args.sweep_config:
@@ -242,8 +236,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--edge-model")
     p.add_argument("--near-device")
     p.add_argument("--near-model")
-    p.add_argument("--aggregation", default="monolithic",
-                   choices=("monolithic", "serial", "parallel"))
+    p.add_argument("--aggregation", default="monolithic", choices=AGGREGATION_MODES)
     p.add_argument("--batch-size", type=int, default=10)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--shuffle", action="store_true")
@@ -291,7 +284,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("validate", help="lint configs, manifests, and profile documents")
     p.add_argument("--partitions")
     p.add_argument("--manifest")
-    p.add_argument("--profiles")
+    p.add_argument("--profiles", help="cost profile document path or 'builtin'")
     p.add_argument("--sweep-config")
     p.add_argument("--k", type=int, default=2)
     p.set_defaults(func=_cmd_validate)

@@ -22,6 +22,8 @@ from .trace import TraceTargets
 __all__ = [
     "builtin_partition_names",
     "load_builtin_partitions",
+    "load_partition_spec",
+    "load_profile_spec",
     "builtin_device_profiles",
     "builtin_model_names",
     "builtin_model_targets",
@@ -51,6 +53,20 @@ def load_builtin_partitions(name: str) -> PartitionMap:
 def builtin_device_profiles() -> dict[tuple[str, str], CostProfile]:
     """Packaged latency profiles keyed by (device, model)."""
     return load_cost_profiles(_read_json("device_profiles.json"))
+
+
+def load_partition_spec(spec: str) -> PartitionMap:
+    """Partition map named by ``builtin:<name>`` or by a partition config path."""
+    if spec.startswith("builtin:"):
+        return load_builtin_partitions(spec.removeprefix("builtin:"))
+    return load_partition_map(spec)
+
+
+def load_profile_spec(spec: str) -> dict[tuple[str, str], CostProfile]:
+    """Cost profiles named by ``builtin`` or by a profile document path."""
+    if spec == "builtin":
+        return builtin_device_profiles()
+    return load_cost_profiles(spec)
 
 
 def builtin_model_names() -> tuple[str, ...]:

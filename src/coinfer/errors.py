@@ -69,3 +69,17 @@ def expect_array(value, what: str) -> list:
     if not isinstance(value, list):
         raise ConfigError(f"{what} must be a JSON array, got {_kind(value)}")
     return value
+
+
+_SCALAR_TYPES = {"integer": int, "boolean": bool, "string": str}
+
+
+def expect_scalar(value, kind: str, what: str):
+    """Return ``value`` if it is a JSON ``kind``, else raise ConfigError naming ``what``.
+
+    ``kind`` is "integer", "boolean" or "string". A boolean is not an
+    integer, nor is a number written with a fraction or an exponent.
+    """
+    if type(value) is not _SCALAR_TYPES[kind]:
+        raise ConfigError(f"{what} must be a JSON {kind}, got {_kind(value)}")
+    return value

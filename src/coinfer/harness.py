@@ -19,15 +19,15 @@ from typing import Mapping
 import numpy as np
 
 from .cost import (
+    AGGREGATION_MODES,
     BatchCost,
     CommModel,
     CostProfile,
-    load_cost_profiles,
     price_batches,
 )
-from .data import load_builtin_partitions, builtin_device_profiles
-from .errors import ConfigError, expect_object, read_json
-from .partition import DomainSet, PartitionMap, load_partition_map
+from .data import load_partition_spec, load_profile_spec
+from .errors import ConfigError, expect_object, expect_scalar, read_json
+from .partition import DomainSet, PartitionMap
 from .router import RoutingPrimitives, apply_gate, compute_routing_primitives
 from .trace import TraceSet, load_trace_set, shuffle_trace_set, topk_accuracy
 
@@ -46,6 +46,14 @@ __all__ = [
 SCHEMA_VERSION = 1
 
 _BASELINE_NAMES = ("edge_only", "near_edge_only")
+
+# The JSON kind of each scalar sweep config key.
+_SCALAR_KINDS = {
+    "k": "integer", "batch_size": "integer", "seed": "integer",
+    "shuffle": "boolean", "mask_to_domain": "boolean",
+    "partitions": "string", "manifest": "string", "profiles": "string",
+    "aggregation": "string", "normalize_against": "string",
+}
 
 
 @dataclass(frozen=True)
@@ -74,8 +82,16 @@ class SweepConfig:
             raise ConfigError(f"thresholds must lie in [0,1], got {list(taus)}")
         if any(b > a for a, b in zip(taus, taus[1:])):
             raise ConfigError("thresholds must be sorted descending")
+        if self.k < 1:
+            raise ConfigError(f"k must be >= 1, got {self.k}")
         if self.batch_size < 1:
             raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
+        if self.aggregation not in AGGREGATION_MODES:
+            raise ConfigError(
+                f"aggregation must be one of {AGGREGATION_MODES}, got {self.aggregation!r}"
+            )
         if self.normalize_against not in _BASELINE_NAMES:
             raise ConfigError(
                 f"normalize_against must be one of {_BASELINE_NAMES}, "
@@ -118,17 +134,21 @@ class SweepConfig:
             raise ConfigError(f"{what} must be an object with 'device' and 'model'")
 
         taus = doc["thresholds"]
-        if not (isinstance(taus, list) and all(isinstance(t, (int, float)) for t in taus)):
+        if not (
+            isinstance(taus, list)
+            and all(isinstance(t, (int, float)) and not isinstance(t, bool) for t in taus)
+        ):
             raise ConfigError("thresholds must be a JSON array of numbers")
         kwargs: dict = {
+            key: expect_scalar(doc[key], kind, key)
+            for key, kind in _SCALAR_KINDS.items()
+            if key in doc
+        }
+        kwargs.update({
             "thresholds": tuple(taus),
-            "k": doc["k"],
-            "partitions": str(doc["partitions"]),
-            "manifest": str(doc["manifest"]),
-            "profiles": str(doc["profiles"]),
             "edge_profile": profile_key(doc["edge_profile"], "edge_profile"),
             "near_profile": profile_key(doc["near_profile"], "near_profile"),
-        }
+        })
         if doc.get("expert_profiles") is not None:
             kwargs["expert_profiles"] = {
                 label: profile_key(v, f"expert_profiles[{label!r}]")
@@ -142,10 +162,6 @@ class SweepConfig:
             if extra:
                 raise ConfigError(f"unknown comm keys: {sorted(extra)}")
             kwargs["comm"] = CommModel(**{k: float(v) for k, v in comm.items()})
-        for key in ("aggregation", "batch_size", "normalize_against", "seed",
-                    "shuffle", "mask_to_domain"):
-            if key in doc:
-                kwargs[key] = doc[key]
         return cls(**kwargs)
 
 
@@ -311,17 +327,11 @@ def run_sweep(
     packaged data.
     """
     if pm is None:
-        if cfg.partitions.startswith("builtin:"):
-            pm = load_builtin_partitions(cfg.partitions.removeprefix("builtin:"))
-        else:
-            pm = load_partition_map(cfg.partitions)
+        pm = load_partition_spec(cfg.partitions)
     if ts is None:
         ts = load_trace_set(cfg.manifest, pm, cfg.k)
     if profiles is None:
-        if cfg.profiles == "builtin":
-            profiles = builtin_device_profiles()
-        else:
-            profiles = load_cost_profiles(cfg.profiles)
+        profiles = load_profile_spec(cfg.profiles)
     if cfg.shuffle:
         ts = shuffle_trace_set(ts, cfg.seed)
 

@@ -21,8 +21,8 @@ Readers refuse a payload longer than ``MAX_PAYLOAD_BYTES`` (1 MiB).
 
 from __future__ import annotations
 
+import contextlib
 import socket
-import socketserver
 import struct
 import threading
 import time
@@ -335,6 +335,71 @@ def read_message(stream: BinaryIO) -> Message | None:
 # ---------------------------------------------------------------------------
 
 
+class _Acceptor:
+    """Bound TCP listener that runs ``handle(conn)`` on a thread per connection.
+
+    ``close()`` shuts down the listener and every open connection, which on
+    Linux wakes the threads blocked on them (closing alone does not), joins
+    those threads within 2 s and closes the sockets.
+    """
+
+    def __init__(self, addr: tuple[str, int], handle):
+        self._listener = socket.create_server(addr)  # SO_REUSEADDR on POSIX
+        self._handle = handle
+        self._thread: threading.Thread | None = None
+        # Live connections by thread. The lock keeps an accept from adding one
+        # after close() swept them, and a handler from closing one mid-sweep.
+        self._lock = threading.Lock()
+        self._open: dict[threading.Thread, socket.socket] = {}
+        self._closed = False
+
+    @property
+    def address(self) -> tuple[str, int]:
+        return self._listener.getsockname()[:2]
+
+    def serve_forever(self):
+        while True:
+            try:
+                conn, _ = self._listener.accept()
+            except OSError:
+                if self._closed:
+                    return
+                raise
+            thread = threading.Thread(target=self._run, args=(conn,), daemon=True)
+            with self._lock:
+                if self._closed:
+                    conn.close()
+                    return
+                self._open[thread] = conn
+                thread.start()
+
+    def start_background(self):
+        self._thread = threading.Thread(target=self.serve_forever, daemon=True)
+        self._thread.start()
+
+    def _run(self, conn: socket.socket):
+        try:
+            self._handle(conn)
+        finally:
+            with self._lock:
+                del self._open[threading.current_thread()]
+                conn.close()
+
+    def close(self):
+        with self._lock:
+            self._closed = True
+            threads = [t for t in (self._thread, *self._open) if t is not None]
+            sockets = [self._listener, *self._open.values()]
+            for sock in sockets:
+                with contextlib.suppress(OSError):
+                    sock.shutdown(socket.SHUT_RDWR)
+        deadline = time.monotonic() + 2.0
+        for t in threads:
+            t.join(timeout=max(0.0, deadline - time.monotonic()))
+        for sock in sockets:
+            sock.close()
+
+
 # Bytes asked of each recv on a server connection.
 _RECV_BYTES = 64 * 1024
 
@@ -374,17 +439,50 @@ def _answer_frames(buf: bytearray, answer) -> tuple[bytearray, bool]:
     return out, False
 
 
-class _Handler(socketserver.BaseRequestHandler):
-    """One connection: each read's complete frames are answered in one write.
+class NearEdgeServer:
+    """Expert registry behind a TCP listener.
 
-    Nagle is off, so a reply leaves at once instead of waiting for the
-    client to acknowledge the previous one; batching the replies of one
-    read keeps a pipelining client to one send per read.
+    Holds the expert traces, recomputes each request's domain from its
+    top-k indices, and answers with the selected expert's prediction.
+    Raw-payload requests fail with an internal error, since a trace
+    server has nothing to run on opaque bytes. ``shutdown()`` returns at
+    once and closes the connections still open.
     """
 
-    def handle(self):
-        answer = self.server.owner.answer
-        sock: socket.socket = self.request
+    def __init__(
+        self,
+        listen_addr: tuple[str, int],
+        ts: TraceSet,
+        pm: PartitionMap,
+        k: int,
+        mask_to_domain: bool = False,
+    ):
+        ts.validate_for(pm, k)
+        self.ts = ts
+        # Everything a request needs that depends only on the expert library,
+        # keyed by the sorted partition tuple of a routed domain.
+        self._class_partition = pm.assignment.tolist()
+        self._routes = {
+            domain.indices: (
+                domain,
+                expert.logits,
+                pm.classes_in(domain) if mask_to_domain else None,
+            )
+            for domain, expert in ts.experts.items()
+        }
+        self._acceptor = _Acceptor(listen_addr, self._serve_connection)
+
+    @property
+    def address(self) -> tuple[str, int]:
+        return self._acceptor.address
+
+    def _serve_connection(self, sock: socket.socket):
+        """One connection: each read's complete frames are answered in one write.
+
+        Nagle is off, so a reply leaves at once instead of waiting for the
+        client to acknowledge the previous one; batching the replies of one
+        read keeps a pipelining client to one send per read.
+        """
         sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         buf = bytearray()
         try:
@@ -401,62 +499,13 @@ class _Handler(socketserver.BaseRequestHandler):
                         ))
                     return
                 buf += chunk
-                replies, close = _answer_frames(buf, answer)
+                replies, close = _answer_frames(buf, self.answer)
                 if replies:
                     sock.sendall(replies)
                 if close:
                     return
         except OSError:
             return
-
-
-class _TCPServer(socketserver.ThreadingTCPServer):
-    allow_reuse_address = True
-    daemon_threads = True
-
-
-class NearEdgeServer:
-    """Expert registry behind a TCP listener.
-
-    Holds the expert traces and the partition map, recomputes each
-    request's domain from its top-k indices, and answers with the
-    selected expert's prediction. Raw-payload requests fail with an
-    internal error, since a trace server has nothing to run on opaque
-    bytes.
-    """
-
-    def __init__(
-        self,
-        listen_addr: tuple[str, int],
-        ts: TraceSet,
-        pm: PartitionMap,
-        k: int,
-        mask_to_domain: bool = False,
-    ):
-        ts.validate_for(pm, k)
-        self.ts = ts
-        self.pm = pm
-        self.k = k
-        self.mask_to_domain = mask_to_domain
-        # Everything a request needs that depends only on the expert library,
-        # keyed by the sorted partition tuple of a routed domain.
-        self._class_partition = pm.assignment.tolist()
-        self._routes = {
-            domain.indices: (
-                domain,
-                expert.logits,
-                pm.classes_in(domain) if mask_to_domain else None,
-            )
-            for domain, expert in ts.experts.items()
-        }
-        self._tcp = _TCPServer(listen_addr, _Handler)
-        self._tcp.owner = self
-        self._thread: threading.Thread | None = None
-        self._serving = False
-
-    @property
-    def address(self) -> tuple[str, int]:
-        return self._tcp.server_address[:2]
 
     def answer(self, req: OffloadRequest) -> Message:
         """Pure request-to-response mapping; shared by every connection."""
@@ -503,23 +552,14 @@ class NearEdgeServer:
         )
 
     def start_background(self) -> "NearEdgeServer":
-        self._serving = True
-        self._thread = threading.Thread(target=self._tcp.serve_forever, daemon=True)
-        self._thread.start()
+        self._acceptor.start_background()
         return self
 
     def serve_forever(self):
-        self._serving = True
-        self._tcp.serve_forever()
+        self._acceptor.serve_forever()
 
     def shutdown(self):
-        # socketserver's shutdown waits for a serve loop to stop, so on a
-        # server that never served it would wait forever.
-        if self._serving:
-            self._tcp.shutdown()
-        self._tcp.server_close()
-        if self._thread is not None:
-            self._thread.join(timeout=5.0)
+        self._acceptor.close()
 
     def __enter__(self) -> "NearEdgeServer":
         return self.start_background()
@@ -664,56 +704,32 @@ class DelayedProxy:
 
     Lets a loopback deployment exhibit a configurable request-direction
     delay so measured round trips include a controlled network term.
-    Leaving the context closes every connection it opened.
+    Leaving the context closes every client connection, and each upstream
+    one as soon as its server closes on the forwarded EOF.
     """
 
     def __init__(self, target: tuple[str, int], delay_ms: float, listen: tuple[str, int] = ("127.0.0.1", 0)):
         self.target = target
         self.delay_s = delay_ms / 1000.0
-        self._listener = socket.create_server(listen)
-        self._accepting = True
-        self._thread = threading.Thread(target=self._accept_loop, daemon=True)
-        # Each live connection's relay thread and its two sockets; the lock
-        # keeps an accept racing __exit__ from adding one after the sweep.
-        self._lock = threading.Lock()
-        self._open: dict[threading.Thread, tuple[socket.socket, socket.socket]] = {}
+        self._acceptor = _Acceptor(listen, self._relay)
 
     @property
     def address(self) -> tuple[str, int]:
-        return self._listener.getsockname()[:2]
+        return self._acceptor.address
 
-    def _accept_loop(self):
-        while True:
-            try:
-                client, _ = self._listener.accept()
-            except OSError:
-                return
-            try:
-                upstream = socket.create_connection(self.target, timeout=30.0)
-            except OSError:
-                client.close()
-                continue
-            relay = threading.Thread(target=self._relay, args=(client, upstream), daemon=True)
-            with self._lock:
-                if not self._accepting:
-                    client.close()
-                    upstream.close()
-                    return
-                self._open[relay] = (client, upstream)
-                relay.start()
-
-    def _relay(self, client: socket.socket, upstream: socket.socket):
-        """Pump both directions of one connection until both end, then close it."""
-        forward = threading.Thread(
-            target=self._pump, args=(client, upstream, self.delay_s), daemon=True
-        )
-        forward.start()
-        self._pump(upstream, client, 0.0)
-        forward.join()
-        with self._lock:
-            self._open.pop(threading.current_thread(), None)
-        client.close()
-        upstream.close()
+    def _relay(self, client: socket.socket):
+        """Pump both directions of one connection until both end."""
+        try:
+            upstream = socket.create_connection(self.target, timeout=30.0)
+        except OSError:
+            return
+        with upstream:
+            forward = threading.Thread(
+                target=self._pump, args=(client, upstream, self.delay_s), daemon=True
+            )
+            forward.start()
+            self._pump(upstream, client, 0.0)
+            forward.join()
 
     @staticmethod
     def _pump(src: socket.socket, dst: socket.socket, delay_s: float):
@@ -728,29 +744,12 @@ class DelayedProxy:
         except OSError:
             pass
         finally:
-            try:
+            with contextlib.suppress(OSError):
                 dst.shutdown(socket.SHUT_WR)
-            except OSError:
-                pass
 
     def __enter__(self) -> "DelayedProxy":
-        self._thread.start()
+        self._acceptor.start_background()
         return self
 
     def __exit__(self, *exc):
-        with self._lock:
-            self._accepting = False
-            relays = dict(self._open)
-        sockets = [self._listener, *(sock for pair in relays.values() for sock in pair)]
-        # Shutting a socket down wakes the thread blocked on it; close alone
-        # does not.
-        for sock in sockets:
-            try:
-                sock.shutdown(socket.SHUT_RDWR)
-            except OSError:
-                pass
-        deadline = time.monotonic() + 2.0
-        for t in [self._thread, *relays]:
-            t.join(timeout=max(0.0, deadline - time.monotonic()))
-        for sock in sockets:
-            sock.close()
+        self._acceptor.close()

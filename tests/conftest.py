@@ -1,10 +1,18 @@
 """Shared fixtures and small builders used across the test modules."""
 
+import os
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from coinfer.partition import PartitionMap, enumerate_expert_domains
 from coinfer.trace import PredictionTrace, TraceSet
+
+# Child processes (``python -m coinfer.cli``) import the package from the same
+# source tree as this process, also in a checkout without an install.
+_SRC = str(Path(__file__).resolve().parent.parent / "src")
+os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, [_SRC, os.environ.get("PYTHONPATH")]))
 
 
 def make_partition_map(num_classes: int, num_partitions: int) -> PartitionMap:

@@ -1,4 +1,10 @@
 import json
+import re
+import signal
+import socket
+import subprocess
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -7,7 +13,7 @@ from coinfer.cli import main
 from coinfer.partition import load_partition_map
 from coinfer.router import collaborative_infer
 from coinfer.trace import load_trace_set
-from coinfer.wire import NearEdgeServer
+from coinfer.wire import NearEdgeServer, OffloadRequest, encode, read_message, run_edge_client
 
 
 @pytest.fixture(scope="module")
@@ -32,6 +38,11 @@ def test_validate_builtin_partitions(capsys):
     assert main(["validate", "--partitions", "builtin:cifar100-s4"]) == 0
     out = capsys.readouterr().out
     assert "OK partitions: 4 partitions over 100 classes" in out
+
+
+def test_validate_builtin_profiles(capsys):
+    assert main(["validate", "--profiles", "builtin"]) == 0
+    assert "OK profiles: 16 device/model pairs" in capsys.readouterr().out
 
 
 def test_validate_rejects_overlapping_partitions(tmp_path, capsys):
@@ -130,6 +141,16 @@ WRONG_SHAPES = {
     "config-thresholds-number": ("config", "thresholds", 5),
     "config-comm-number": ("config", "comm", 5),
     "config-expert_profiles-array": ("config", "expert_profiles", [1, 2]),
+    "config-thresholds-boolean": ("config", "thresholds", [0.9, True]),
+    "config-k-string": ("config", "k", "2"),
+    "config-batch_size-string": ("config", "batch_size", "10"),
+    "config-batch_size-fraction": ("config", "batch_size", 10.5),
+    "config-seed-string": ("config", "seed", "x"),
+    "config-seed-boolean": ("config", "seed", True),
+    "config-shuffle-string": ("config", "shuffle", "no"),
+    "config-mask_to_domain-string": ("config", "mask_to_domain", "no"),
+    "config-partitions-number": ("config", "partitions", 5),
+    "config-aggregation-number": ("config", "aggregation", 1),
     "manifest-number": ("manifest", "", 5),
     "manifest-edge-number": ("manifest", "edge", 5),
     "manifest-near_generalist-string": ("manifest", "near_generalist", "near.bin"),
@@ -168,6 +189,35 @@ def test_json_of_the_wrong_shape_exits_2_naming_the_file(
     err = capsys.readouterr().err
     assert str(bad) in err
     assert "must be a JSON" in err
+    if document == "config" and key:
+        assert f"{key} must be a JSON" in err
+
+
+# (sweep config key, value, what the error must say besides the file)
+OUT_OF_RANGE = {
+    "aggregation-bogus": ("aggregation", "bogus", "aggregation must be one of"),
+    "k-zero": ("k", 0, "k must be >= 1"),
+    "seed-negative": ("seed", -1, "seed must be >= 0"),
+}
+
+
+@pytest.mark.parametrize("command", ["validate", "sweep"])
+@pytest.mark.parametrize("key,value,named", list(OUT_OF_RANGE.values()), ids=list(OUT_OF_RANGE))
+def test_sweep_config_value_out_of_range_exits_2_naming_the_file(
+    workspace, tmp_path, capsys, command, key, value, named
+):
+    config = tmp_path / "sweep.json"
+    config.write_text(json.dumps(
+        {**_sweep_doc(workspace, workspace / "traces" / "manifest.json"), key: value}
+    ))
+    if command == "sweep":
+        argv = ["sweep", "--config", str(config), "--output", str(tmp_path / "r")]
+    else:
+        argv = ["validate", "--sweep-config", str(config)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert str(config) in err
+    assert named in err
 
 
 def _profiles_doc(points) -> dict:
@@ -240,6 +290,53 @@ def test_client_subcommand_against_live_server(workspace, capsys):
     out = capsys.readouterr().out
     want = collaborative_infer(ts, pm, 0.9, 2)
     assert f"accuracy: {want.accuracy:.6g}" in out
+
+
+def _default_sigint():
+    # A shell starts background jobs with SIGINT ignored, and a child keeps an
+    # ignored SIGINT ignored; serve must get KeyboardInterrupt from it.
+    signal.signal(signal.SIGINT, signal.SIG_DFL)
+
+
+def test_serve_subcommand_answers_then_stops_on_sigint(workspace):
+    manifest = workspace / "traces" / "manifest.json"
+    partitions = workspace / "partitions.json"
+    proc = subprocess.Popen(
+        [sys.executable, "-u", "-m", "coinfer.cli", "serve", "--listen", "127.0.0.1:0",
+         "--manifest", str(manifest), "--partitions", str(partitions), "--k", "2"],
+        stdin=subprocess.DEVNULL, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        preexec_fn=_default_sigint,
+    )
+    # Every read below ends at the latest when the child is killed.
+    killer = threading.Timer(10.0, proc.kill)
+    killer.start()
+    try:
+        line = proc.stdout.readline()
+        match = re.search(rb"listening on (\S+):(\d+) ", line)
+        assert match, line
+        addr = (match.group(1).decode(), int(match.group(2)))
+
+        pm = load_partition_map(partitions)
+        ts = load_trace_set(manifest, pm, 2)
+        got = run_edge_client(addr, ts.edge, pm, 0.9, 2, timeout=5.0, retries=0)
+        want = collaborative_infer(ts, pm, 0.9, 2)
+        assert np.array_equal(got.predictions, want.predictions)
+
+        with socket.create_connection(addr, timeout=5.0) as idle, idle.makefile("rb") as rfile:
+            # One answered request shows the server has accepted the connection.
+            idle.sendall(encode(OffloadRequest(request_id=0, topk=(0, 1), sample_index=0)))
+            assert read_message(rfile) is not None
+            proc.send_signal(signal.SIGINT)
+            out, err = proc.communicate(timeout=10.0)
+            idle.settimeout(2.0)
+            assert idle.recv(1) == b""  # EOF, not a timeout
+    finally:
+        killer.cancel()
+        if proc.poll() is None:
+            proc.kill()
+            proc.wait(timeout=10.0)
+    assert proc.returncode == 0, err
+    assert b"shutting down" in out
 
 
 def test_client_rejects_malformed_address(workspace, capsys):

@@ -1,5 +1,6 @@
 import io
 import socket
+import sys
 import threading
 import time
 
@@ -7,7 +8,6 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from coinfer import wire
 from coinfer.errors import ProtocolError, TransportError
 from coinfer.partition import DomainSet
 from coinfer.router import collaborative_infer, compute_routing_primitives
@@ -246,6 +246,91 @@ class TestServer:
         stopper.join(timeout=5)
         assert not stopper.is_alive()
 
+    def test_started_server_shuts_down_at_once(self):
+        pm, ts = small_trace_set(seed=6, m=20)
+        server = NearEdgeServer(("127.0.0.1", 0), ts, pm, 2).start_background()
+        run_edge_client(server.address, ts.edge, pm, 1.0, 2)
+        started = time.perf_counter()
+        server.shutdown()
+        assert time.perf_counter() - started < 0.050
+
+    def test_shutdown_closes_an_idle_connection(self):
+        pm, ts = small_trace_set(seed=6, m=20)
+        with NearEdgeServer(("127.0.0.1", 0), ts, pm, 2) as server:
+            sock = socket.create_connection(server.address, timeout=5)
+            rfile = sock.makefile("rb")
+            sock.sendall(encode(OffloadRequest(request_id=1, topk=(0, 1), sample_index=1)))
+            assert isinstance(read_message(rfile), OffloadResponse)
+        with sock, rfile:
+            sock.settimeout(2.0)
+            assert sock.recv(1) == b""  # EOF, not a timeout
+
+    def test_shutdown_racing_connects_leaves_no_connection_open(self):
+        # More clients than cores connect while the server shuts down; every
+        # connection the server accepted must end, none may hang.
+        pm, ts = small_trace_set(seed=6, m=20)
+        server = NearEdgeServer(("127.0.0.1", 0), ts, pm, 2).start_background()
+        clients: list[socket.socket] = []
+
+        def connect_some():
+            for _ in range(10):
+                try:
+                    clients.append(socket.create_connection(server.address, timeout=2))
+                except OSError:
+                    return
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=connect_some) for _ in range(4)]
+            for t in threads:
+                t.start()
+            server.shutdown()
+            for t in threads:
+                t.join(timeout=5)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        for sock in clients:
+            with sock:
+                sock.settimeout(2.0)
+                try:
+                    assert sock.recv(1) == b""  # EOF, not a timeout
+                except ConnectionResetError:
+                    pass  # still queued when the listener closed
+
+    def test_connection_accepted_during_shutdown_is_closed(self):
+        # shutdown() sweeps the open connections between an accept returning
+        # and the accept loop registering that connection.
+        pm, ts = small_trace_set(seed=6, m=20)
+        server = NearEdgeServer(("127.0.0.1", 0), ts, pm, 2)
+        acceptor = server._acceptor
+        listener = acceptor._listener
+        stopper = threading.Thread(target=server.shutdown, daemon=True)
+        accepted = threading.Event()
+
+        class SweepAfterAccept:
+            def __getattr__(self, name):
+                return getattr(listener, name)
+
+            def accept(self):
+                conn = listener.accept()
+                stopper.start()
+                accepted.set()
+                deadline = time.monotonic() + 5
+                while not acceptor._closed and time.monotonic() < deadline:
+                    time.sleep(0.001)
+                return conn
+
+        acceptor._listener = SweepAfterAccept()
+        server.start_background()
+        with socket.create_connection(server.address, timeout=5) as sock:
+            assert accepted.wait(timeout=5)
+            stopper.join(timeout=5)
+            assert not stopper.is_alive()
+            sock.settimeout(2.0)
+            assert sock.recv(1) == b""  # EOF, not a timeout
+
     def test_garbage_bytes_get_error_then_close(self):
         pm, ts = small_trace_set(seed=6, m=20)
         with NearEdgeServer(("127.0.0.1", 0), ts, pm, 2) as server:
@@ -355,13 +440,13 @@ class TestServerLoop:
         # Whether the pair above stalls without TCP_NODELAY depends on thread
         # timing, so the option itself is checked as well.
         seen = []
-        handle = wire._Handler.handle
+        serve_connection = NearEdgeServer._serve_connection
 
-        def recording_handle(handler):
-            handle(handler)
-            seen.append(handler.request.getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY))
+        def recording_serve_connection(server, sock):
+            serve_connection(server, sock)
+            seen.append(sock.getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY))
 
-        monkeypatch.setattr(wire._Handler, "handle", recording_handle)
+        monkeypatch.setattr(NearEdgeServer, "_serve_connection", recording_serve_connection)
         pm, ts = small_trace_set(seed=14, m=20)
         with NearEdgeServer(("127.0.0.1", 0), ts, pm, 2) as server:
             sock, rfile = self._connect(server)
