@@ -36,8 +36,8 @@ from .wire import NearEdgeServer, run_edge_client
 
 def _addr(text: str) -> tuple[str, int]:
     host, sep, port = text.rpartition(":")
-    if not sep or not port.isdigit():
-        raise ConfigError(f"address must look like host:port, got {text!r}")
+    if not sep or not port.isdigit() or int(port) > 65535:
+        raise ConfigError(f"address must look like host:port, port 0-65535, got {text!r}")
     return (host or "127.0.0.1", int(port))
 
 

@@ -17,7 +17,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .errors import ConfigError, expect_array, expect_object, read_json
+from .errors import ConfigError, check_json, read_json
 from .partition import DomainSet
 
 __all__ = [
@@ -250,6 +250,10 @@ def compose_batch_cost(
     )
 
 
+_POINT = {"batch": "integer", "latency_ms": "number", "energy_mj?": "number", "power_w?": "number"}
+_COST_PROFILES = {"profiles": [{"device": "string", "model": "string", "points": [_POINT]}]}
+
+
 def load_cost_profiles(source: str | Path | Mapping) -> dict[tuple[str, str], CostProfile]:
     """Parse a cost profile document into profiles keyed by (device, model).
 
@@ -257,55 +261,33 @@ def load_cost_profiles(source: str | Path | Mapping) -> dict[tuple[str, str], Co
     or ``power_w``; power is converted at load time (mJ = W x ms). Every
     error in a document read from a file names the file.
     """
-    if not isinstance(source, (str, Path)):
-        return _parse_cost_profiles(source)
-    doc = read_json(source, "cost profile document")
-    try:
-        return _parse_cost_profiles(doc)
-    except ConfigError as exc:
-        raise ConfigError(f"cost profile document {source}: {exc}") from None
-
-
-def _number(point: Mapping, key: str, where: str) -> float:
-    try:
-        return float(point[key])
-    except (TypeError, ValueError):
-        raise ConfigError(f"{where}: {key} must be a number, got {point[key]!r}") from None
+    if isinstance(source, (str, Path)):
+        return read_json(source, "cost profile document", _parse_cost_profiles)
+    return _parse_cost_profiles(source)
 
 
 def _parse_cost_profiles(doc) -> dict[tuple[str, str], CostProfile]:
-    if not isinstance(doc, Mapping) or "profiles" not in doc:
-        raise ConfigError("cost profile document must be an object with a 'profiles' list")
-
+    check_json(doc, _COST_PROFILES)
     out: dict[tuple[str, str], CostProfile] = {}
-    for i, entry in enumerate(expect_array(doc["profiles"], "profiles")):
-        where = f"profiles[{i}]"
-        expect_object(entry, where)
-        for key in ("device", "model", "points"):
-            if key not in entry:
-                raise ConfigError(f"{where}: missing {key!r}")
-        if not (isinstance(entry["device"], str) and isinstance(entry["model"], str)):
-            raise ConfigError(f"{where}: device and model must be strings")
-        batches, lats, energies = [], [], []
-        for j, pt in enumerate(expect_array(entry["points"], f"{where}.points")):
-            pw = f"{where}.points[{j}]"
-            expect_object(pt, pw)
-            if "batch" not in pt or "latency_ms" not in pt:
-                raise ConfigError(f"{pw}: needs 'batch' and 'latency_ms'")
-            has_e, has_p = "energy_mj" in pt, "power_w" in pt
-            if has_e == has_p:
-                raise ConfigError(f"{pw}: exactly one of 'energy_mj' or 'power_w' required")
-            lat = _number(pt, "latency_ms", pw)
-            energy = _number(pt, "energy_mj", pw) if has_e else _number(pt, "power_w", pw) * lat
-            batches.append(pt["batch"])
-            lats.append(lat)
-            energies.append(energy)
+    for i, entry in enumerate(doc["profiles"]):
+        points = entry["points"]
+        for j, pt in enumerate(points):
+            if ("energy_mj" in pt) == ("power_w" in pt):
+                raise ConfigError(
+                    f"profiles[{i}].points[{j}]: exactly one of 'energy_mj' or 'power_w' required"
+                )
         key = (entry["device"], entry["model"])
         if key in out:
-            raise ConfigError(f"{where}: duplicate profile for device/model {key}")
+            raise ConfigError(f"profiles[{i}]: duplicate profile for device/model {key}")
+        lats = tuple(float(pt["latency_ms"]) for pt in points)
         out[key] = CostProfile(
             device=entry["device"], model=entry["model"],
-            batches=tuple(batches), latencies_ms=tuple(lats), energies_mj=tuple(energies),
+            batches=tuple(pt["batch"] for pt in points),
+            latencies_ms=lats,
+            energies_mj=tuple(
+                float(pt["energy_mj"]) if "energy_mj" in pt else float(pt["power_w"]) * lat
+                for pt, lat in zip(points, lats)
+            ),
         )
     if not out:
         raise ConfigError("cost profile document contains no profiles")

@@ -32,19 +32,24 @@ class TransportError(CoinferError):
     """Network-level failure (connect, timeout, premature close)."""
 
 
-def read_json(path: str | Path, what: str):
-    """Parse the JSON file at ``path``.
+def read_json(path: str | Path, what: str, parse):
+    """Return ``parse`` applied to the JSON document in the file at ``path``.
 
-    A file that cannot be read or parsed raises ConfigError, naming the
+    A file that cannot be read or parsed, and every ConfigError or
+    ValueError that ``parse`` raises, becomes a ConfigError naming the
     file as ``what`` and its path.
     """
     try:
         with open(path, encoding="utf-8") as fh:
-            return json.load(fh)
+            doc = json.load(fh)
     except OSError as exc:
         raise ConfigError(f"cannot read {what} {path}: {exc}") from exc
     except ValueError as exc:  # JSONDecodeError, or bytes that are not UTF-8
         raise ConfigError(f"{what} {path} is not valid JSON: {exc}") from exc
+    try:
+        return parse(doc)
+    except (ConfigError, ValueError) as exc:
+        raise ConfigError(f"{what} {path}: {exc}") from None
 
 
 _JSON_KINDS = {
@@ -52,34 +57,52 @@ _JSON_KINDS = {
     int: "a number", float: "a number", type(None): "null",
 }
 
-
-def _kind(value) -> str:
-    return _JSON_KINDS.get(type(value), type(value).__name__)
-
-
-def expect_object(value, what: str) -> Mapping:
-    """Return ``value`` if it is a JSON object, else raise ConfigError naming ``what``."""
-    if not isinstance(value, Mapping):
-        raise ConfigError(f"{what} must be a JSON object, got {_kind(value)}")
-    return value
+_KIND_TESTS = {
+    "object": lambda v: isinstance(v, Mapping),
+    "array": lambda v: isinstance(v, list),
+    "string": lambda v: isinstance(v, str),
+    "integer": lambda v: isinstance(v, int) and not isinstance(v, bool),
+    "number": lambda v: isinstance(v, (int, float)) and not isinstance(v, bool),
+    "boolean": lambda v: isinstance(v, bool),
+}
 
 
-def expect_array(value, what: str) -> list:
-    """Return ``value`` if it is a JSON array, else raise ConfigError naming ``what``."""
-    if not isinstance(value, list):
-        raise ConfigError(f"{what} must be a JSON array, got {_kind(value)}")
-    return value
+def check_json(value, spec, path: str = ""):
+    """Return the parsed JSON ``value`` if it matches ``spec``, else raise ConfigError.
 
+    A spec is one of:
 
-_SCALAR_TYPES = {"integer": int, "boolean": bool, "string": str}
+    * a kind: "object", "array", "string", "boolean", "integer" (not a
+      boolean, nor a number written with a fraction or an exponent) or
+      "number" (not a boolean);
+    * ``[item]``: an array whose every element matches ``item``;
+    * a dict: an object whose keys are those of the dict, each required
+      unless it ends in "?", with no other key allowed; or ``{"*": item}``,
+      an object with any keys whose every value matches ``item``.
 
-
-def expect_scalar(value, kind: str, what: str):
-    """Return ``value`` if it is a JSON ``kind``, else raise ConfigError naming ``what``.
-
-    ``kind`` is "integer", "boolean" or "string". A boolean is not an
-    integer, nor is a number written with a fraction or an exponent.
+    Errors name the value by its dotted path, as in
+    ``profiles[0].points[2].latency_ms``; ``path`` is that of ``value``
+    itself, empty for a whole document.
     """
-    if type(value) is not _SCALAR_TYPES[kind]:
-        raise ConfigError(f"{what} must be a JSON {kind}, got {_kind(value)}")
+    where = path or "document"
+    kind = "array" if isinstance(spec, list) else "object" if isinstance(spec, dict) else spec
+    if not _KIND_TESTS[kind](value):
+        got = _JSON_KINDS.get(type(value), type(value).__name__)
+        raise ConfigError(f"{where} must be a JSON {kind}, got {got}")
+    if isinstance(spec, list):
+        for i, item in enumerate(value):
+            check_json(item, spec[0], f"{path}[{i}]")
+    elif isinstance(spec, dict):
+        if "*" in spec:
+            fields = dict.fromkeys(value, spec["*"])
+        else:
+            fields = {key.removesuffix("?"): item for key, item in spec.items()}
+            unknown = sorted(set(value) - set(fields))
+            if unknown:
+                raise ConfigError(f"{where} has unknown keys: {unknown}")
+            missing = [key for key in spec if not key.endswith("?") and key not in value]
+            if missing:
+                raise ConfigError(f"{where} is missing keys: {missing}")
+        for key, item in value.items():
+            check_json(item, fields[key], f"{path}.{key}" if path else str(key))
     return value

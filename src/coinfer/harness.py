@@ -26,7 +26,7 @@ from .cost import (
     price_batches,
 )
 from .data import load_partition_spec, load_profile_spec
-from .errors import ConfigError, expect_object, expect_scalar, read_json
+from .errors import ConfigError, check_json, read_json
 from .partition import DomainSet, PartitionMap
 from .router import RoutingPrimitives, apply_gate, compute_routing_primitives
 from .trace import TraceSet, load_trace_set, shuffle_trace_set, topk_accuracy
@@ -47,12 +47,15 @@ SCHEMA_VERSION = 1
 
 _BASELINE_NAMES = ("edge_only", "near_edge_only")
 
-# The JSON kind of each scalar sweep config key.
-_SCALAR_KINDS = {
-    "k": "integer", "batch_size": "integer", "seed": "integer",
-    "shuffle": "boolean", "mask_to_domain": "boolean",
+_PROFILE_KEY = {"device": "string", "model": "string"}
+_SWEEP_CONFIG = {
+    "thresholds": ["number"], "k": "integer",
     "partitions": "string", "manifest": "string", "profiles": "string",
-    "aggregation": "string", "normalize_against": "string",
+    "edge_profile": _PROFILE_KEY, "near_profile": _PROFILE_KEY,
+    "expert_profiles?": {"*": _PROFILE_KEY},
+    "comm?": {"rtt_ms?": "number", "per_sample_ms?": "number", "per_sample_mj?": "number"},
+    "aggregation?": "string", "batch_size?": "integer", "normalize_against?": "string",
+    "seed?": "integer", "shuffle?": "boolean", "mask_to_domain?": "boolean",
 }
 
 
@@ -102,67 +105,36 @@ class SweepConfig:
     @classmethod
     def from_file(cls, path: str | Path) -> "SweepConfig":
         """Load a sweep config JSON file; every error in it names the file."""
-        doc = read_json(path, "sweep config")
-        try:
-            return cls.from_mapping(doc)
-        except (ConfigError, ValueError) as exc:
-            raise ConfigError(f"sweep config {path}: {exc}") from None
+        return read_json(path, "sweep config", cls.from_mapping)
 
     @classmethod
     def from_mapping(cls, doc: Mapping) -> "SweepConfig":
-        expect_object(doc, "sweep config")
-        known = {
-            "thresholds", "k", "partitions", "manifest", "profiles",
-            "edge_profile", "near_profile", "expert_profiles", "comm",
-            "aggregation", "batch_size", "normalize_against", "seed",
-            "shuffle", "mask_to_domain",
+        # A report writes "expert_profiles": null for a sweep without them.
+        if check_json(doc, "object").get("expert_profiles", {}) is None:
+            doc = {key: value for key, value in doc.items() if key != "expert_profiles"}
+        check_json(doc, _SWEEP_CONFIG)
+        kwargs = {
+            **doc,
+            "thresholds": tuple(doc["thresholds"]),
+            "edge_profile": _profile_key(doc["edge_profile"]),
+            "near_profile": _profile_key(doc["near_profile"]),
         }
-        unknown = set(doc) - known
-        if unknown:
-            raise ConfigError(f"unknown sweep config keys: {sorted(unknown)}")
-        missing = {"thresholds", "k", "partitions", "manifest", "profiles",
-                   "edge_profile", "near_profile"} - set(doc)
-        if missing:
-            raise ConfigError(f"sweep config missing keys: {sorted(missing)}")
-
-        def profile_key(value, what: str) -> tuple[str, str]:
-            if (
-                isinstance(value, Mapping)
-                and set(value) == {"device", "model"}
-            ):
-                return (str(value["device"]), str(value["model"]))
-            raise ConfigError(f"{what} must be an object with 'device' and 'model'")
-
-        taus = doc["thresholds"]
-        if not (
-            isinstance(taus, list)
-            and all(isinstance(t, (int, float)) and not isinstance(t, bool) for t in taus)
-        ):
-            raise ConfigError("thresholds must be a JSON array of numbers")
-        kwargs: dict = {
-            key: expect_scalar(doc[key], kind, key)
-            for key, kind in _SCALAR_KINDS.items()
-            if key in doc
-        }
-        kwargs.update({
-            "thresholds": tuple(taus),
-            "edge_profile": profile_key(doc["edge_profile"], "edge_profile"),
-            "near_profile": profile_key(doc["near_profile"], "near_profile"),
-        })
-        if doc.get("expert_profiles") is not None:
+        if "expert_profiles" in doc:
+            for label in doc["expert_profiles"]:
+                try:
+                    DomainSet.from_label(label)
+                except ValueError as exc:
+                    raise ConfigError(f"expert_profiles.{label}: {exc}") from None
             kwargs["expert_profiles"] = {
-                label: profile_key(v, f"expert_profiles[{label!r}]")
-                for label, v in expect_object(doc["expert_profiles"], "expert_profiles").items()
+                label: _profile_key(key) for label, key in doc["expert_profiles"].items()
             }
         if "comm" in doc:
-            comm = expect_object(doc["comm"], "comm")
-            if not all(isinstance(v, (int, float)) for v in comm.values()):
-                raise ConfigError("comm values must be numbers")
-            extra = set(comm) - {"rtt_ms", "per_sample_ms", "per_sample_mj"}
-            if extra:
-                raise ConfigError(f"unknown comm keys: {sorted(extra)}")
-            kwargs["comm"] = CommModel(**{k: float(v) for k, v in comm.items()})
+            kwargs["comm"] = CommModel(**{k: float(v) for k, v in doc["comm"].items()})
         return cls(**kwargs)
+
+
+def _profile_key(doc: Mapping) -> tuple[str, str]:
+    return (doc["device"], doc["model"])
 
 
 @dataclass(frozen=True)
@@ -565,10 +537,11 @@ def emit_report(result: SweepResult, out_base: str | Path) -> tuple[Path, Path]:
 
 def load_report(json_path: str | Path) -> dict:
     """Read back an emitted JSON report, checking the schema version."""
-    doc = read_json(json_path, "report")
-    if doc.get("schema_version") != SCHEMA_VERSION:
-        raise ConfigError(
-            f"report schema version {doc.get('schema_version')!r} is not "
-            f"{SCHEMA_VERSION}"
-        )
+    return read_json(json_path, "report", _check_report)
+
+
+def _check_report(doc) -> dict:
+    version = check_json(doc, "object").get("schema_version")
+    if version != SCHEMA_VERSION:
+        raise ConfigError(f"report schema version {version!r} is not {SCHEMA_VERSION}")
     return doc

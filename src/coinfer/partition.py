@@ -18,7 +18,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .errors import ConfigError, read_json
+from .errors import ConfigError, check_json, read_json
 
 __all__ = [
     "DomainSet",
@@ -136,31 +136,24 @@ class PartitionMap:
         )
 
 
+_PARTITION_CONFIG = {"num_classes": "integer", "partitions": [["integer"]]}
+
+
 def load_partition_map(source: str | Path | Mapping) -> PartitionMap:
     """Load and validate a partition config.
 
     ``source`` is either a path to a JSON document or the already-parsed
     mapping: ``{"num_classes": N, "partitions": [[class, ...], ...]}``.
+    Every error in a document read from a file names the file.
     """
     if isinstance(source, (str, Path)):
-        doc = read_json(source, "partition config")
-    else:
-        doc = source
-    if not isinstance(doc, Mapping):
-        raise ConfigError("partition config must be a JSON object")
-    unknown = set(doc) - {"num_classes", "partitions"}
-    if unknown:
-        raise ConfigError(f"partition config has unknown keys: {sorted(unknown)}")
-    try:
-        num_classes = doc["num_classes"]
-        partitions = doc["partitions"]
-    except KeyError as exc:
-        raise ConfigError(f"partition config missing key {exc.args[0]!r}") from None
-    if not isinstance(num_classes, int) or isinstance(num_classes, bool):
-        raise ConfigError(f"num_classes must be an integer, got {num_classes!r}")
-    if not isinstance(partitions, list) or not all(isinstance(p, list) for p in partitions):
-        raise ConfigError("partitions must be a list of class-index lists")
-    return PartitionMap(partitions, num_classes)
+        return read_json(source, "partition config", _parse_partition_map)
+    return _parse_partition_map(source)
+
+
+def _parse_partition_map(doc) -> PartitionMap:
+    check_json(doc, _PARTITION_CONFIG)
+    return PartitionMap(doc["partitions"], doc["num_classes"])
 
 
 def enumerate_expert_domains(num_partitions: int, k: int) -> list[DomainSet]:

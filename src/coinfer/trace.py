@@ -25,7 +25,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .errors import ConfigError, expect_object, read_json
+from .errors import ConfigError, check_json, read_json
 from .partition import DomainSet, PartitionMap, enumerate_expert_domains
 
 __all__ = [
@@ -508,6 +508,34 @@ def _read_exact(path: Path, dtype: np.dtype, count: int, what: str) -> np.ndarra
     return np.frombuffer(raw, dtype=dtype)
 
 
+_TRACE_ENTRY = {"name": "string", "logits_file": "string"}
+_MANIFEST = {
+    "num_classes": "integer", "num_samples": "integer", "labels_file": "string",
+    "edge": _TRACE_ENTRY,
+    "experts": [{"domain": ["integer"], **_TRACE_ENTRY}],
+    "near_generalist?": _TRACE_ENTRY,
+}
+
+
+def _check_manifest(doc) -> tuple[dict, list[DomainSet]]:
+    """A parsed manifest and its expert domains, in listed order."""
+    check_json(doc, _MANIFEST)
+    if doc["num_classes"] < 2:
+        raise ConfigError(f"num_classes must be >= 2, got {doc['num_classes']}")
+    if doc["num_samples"] < 1:
+        raise ConfigError(f"num_samples must be >= 1, got {doc['num_samples']}")
+    domains: list[DomainSet] = []
+    for i, entry in enumerate(doc["experts"]):
+        try:
+            domain = DomainSet.of(entry["domain"])
+        except ValueError as exc:
+            raise ConfigError(f"experts[{i}].domain: {exc}") from None
+        if domain in domains:
+            raise ConfigError(f"experts[{i}].domain: expert domain {domain.label} listed twice")
+        domains.append(domain)
+    return doc, domains
+
+
 def load_trace_set(
     manifest_path: str | Path,
     pm: PartitionMap | None = None,
@@ -517,30 +545,14 @@ def load_trace_set(
 
     When ``pm`` and ``k`` are supplied, expert coverage for routing is
     checked as well. Relative file paths resolve against the manifest's
-    directory.
+    directory. Every error in the manifest itself names the manifest.
     """
     manifest_path = Path(manifest_path)
-    where = f"manifest {manifest_path}"
-    doc = expect_object(read_json(manifest_path, "manifest"), where)
+    doc, domains = read_json(manifest_path, "manifest", _check_manifest)
+    n, m = doc["num_classes"], doc["num_samples"]
+    base = manifest_path.parent  # an absolute file path replaces it
 
-    required = {"num_classes", "num_samples", "labels_file", "edge", "experts"}
-    missing = required - set(doc)
-    if missing:
-        raise ConfigError(f"{where} missing keys: {sorted(missing)}")
-    n = doc["num_classes"]
-    m = doc["num_samples"]
-    if not (isinstance(n, int) and isinstance(m, int)) or n < 2 or m < 1:
-        raise ConfigError(f"bad manifest dimensions num_classes={n!r}, num_samples={m!r}")
-
-    base = manifest_path.parent
-
-    def resolve(p: str) -> Path:
-        if not isinstance(p, str):
-            raise ConfigError(f"{where} file path must be a JSON string, got {p!r}")
-        path = Path(p)
-        return path if path.is_absolute() else base / path
-
-    labels32 = _read_exact(resolve(doc["labels_file"]), np.dtype("<u4"), m, "labels")
+    labels32 = _read_exact(base / doc["labels_file"], np.dtype("<u4"), m, "labels")
     labels = labels32.astype(np.int64)
     if labels.size and labels.max() >= n:
         bad = int(np.flatnonzero(labels >= n)[0])
@@ -549,11 +561,8 @@ def load_trace_set(
             f"out of range [0, {n})"
         )
 
-    def load_entry(entry, what: str) -> PredictionTrace:
-        expect_object(entry, f"{where} {what} entry")
-        if "name" not in entry or "logits_file" not in entry:
-            raise ConfigError(f"{where} {what} entry needs 'name' and 'logits_file'")
-        path = resolve(entry["logits_file"])
+    def load_entry(entry) -> PredictionTrace:
+        path = base / entry["logits_file"]
         flat = _read_exact(path, np.dtype("<f4"), m * n, f"logits ({entry['name']})")
         try:
             return PredictionTrace(
@@ -562,20 +571,9 @@ def load_trace_set(
         except ConfigError as exc:  # the trace's own checks, e.g. a non-finite logit
             raise ConfigError(f"logits file {path}: {exc}") from None
 
-    edge = load_entry(doc["edge"], "edge")
-    experts: dict[DomainSet, PredictionTrace] = {}
-    if not isinstance(doc["experts"], list):
-        raise ConfigError(f"{where} 'experts' must be a JSON array")
-    for entry in doc["experts"]:
-        if "domain" not in expect_object(entry, f"{where} expert entry"):
-            raise ConfigError(f"{where} expert entry missing 'domain'")
-        if not isinstance(entry["domain"], list):
-            raise ConfigError(f"{where} expert 'domain' must be a JSON array of partitions")
-        domain = DomainSet.of(entry["domain"])
-        if domain in experts:
-            raise ConfigError(f"manifest lists expert domain {domain.label} twice")
-        experts[domain] = load_entry(entry, f"expert {domain.label}")
-    near = load_entry(doc["near_generalist"], "near_generalist") if "near_generalist" in doc else None
+    edge = load_entry(doc["edge"])
+    experts = {domain: load_entry(entry) for domain, entry in zip(domains, doc["experts"])}
+    near = load_entry(doc["near_generalist"]) if "near_generalist" in doc else None
 
     ts = TraceSet(edge=edge, experts=experts, near_generalist=near)
     if pm is not None and k is not None:

@@ -643,6 +643,10 @@ def run_edge_client(
     at once, since a replay would get the same answer.
     """
     check_threshold(threshold)
+    if retries < 0:
+        raise ValueError(f"retries must be >= 0, got {retries}")
+    if not timeout > 0:
+        raise ValueError(f"timeout must be > 0, got {timeout}")
     conf, local_pred, top, codes, table = gate_signals(edge_trace, pm, k)
     offload_rows = np.flatnonzero(conf < threshold)
 

@@ -1,4 +1,7 @@
+import copy
+import functools
 import json
+import operator
 import re
 import signal
 import socket
@@ -10,6 +13,9 @@ import numpy as np
 import pytest
 
 from coinfer.cli import main
+from coinfer.cost import load_cost_profiles
+from coinfer.errors import ConfigError
+from coinfer.harness import SweepConfig
 from coinfer.partition import load_partition_map
 from coinfer.router import collaborative_infer
 from coinfer.trace import load_trace_set
@@ -134,41 +140,59 @@ def _with(doc: dict, key: str, value):
     return value if key == "" else {**doc, key: value}
 
 
-# (document, key to replace or "" for the whole document, value)
+# (document, key to replace or "" for the whole document, value, what the
+# error must say besides the file)
 WRONG_SHAPES = {
-    "config-number": ("config", "", 5),
-    "config-array": ("config", "", ["thresholds"]),
-    "config-thresholds-number": ("config", "thresholds", 5),
-    "config-comm-number": ("config", "comm", 5),
-    "config-expert_profiles-array": ("config", "expert_profiles", [1, 2]),
-    "config-thresholds-boolean": ("config", "thresholds", [0.9, True]),
-    "config-k-string": ("config", "k", "2"),
-    "config-batch_size-string": ("config", "batch_size", "10"),
-    "config-batch_size-fraction": ("config", "batch_size", 10.5),
-    "config-seed-string": ("config", "seed", "x"),
-    "config-seed-boolean": ("config", "seed", True),
-    "config-shuffle-string": ("config", "shuffle", "no"),
-    "config-mask_to_domain-string": ("config", "mask_to_domain", "no"),
-    "config-partitions-number": ("config", "partitions", 5),
-    "config-aggregation-number": ("config", "aggregation", 1),
-    "manifest-number": ("manifest", "", 5),
-    "manifest-edge-number": ("manifest", "edge", 5),
-    "manifest-near_generalist-string": ("manifest", "near_generalist", "near.bin"),
-    "manifest-experts-number": ("manifest", "experts", 5),
-    "manifest-experts-entry-number": ("manifest", "experts", [5]),
-    "manifest-experts-domain-number": (
-        "manifest", "experts", [{"domain": 1, "name": "x", "logits_file": "x.bin"}]
+    "config-number": ("config", "", 5, "document must be a JSON object"),
+    "config-array": ("config", "", ["thresholds"], "document must be a JSON object"),
+    "config-thresholds-number": ("config", "thresholds", 5, "thresholds must be a JSON array"),
+    "config-comm-number": ("config", "comm", 5, "comm must be a JSON object"),
+    "config-expert_profiles-array": (
+        "config", "expert_profiles", [1, 2], "expert_profiles must be a JSON object"
     ),
-    "manifest-labels_file-number": ("manifest", "labels_file", 5),
+    "config-thresholds-boolean": (
+        "config", "thresholds", [0.9, True], "thresholds[1] must be a JSON number"
+    ),
+    "config-k-string": ("config", "k", "2", "k must be a JSON integer"),
+    "config-batch_size-string": (
+        "config", "batch_size", "10", "batch_size must be a JSON integer"
+    ),
+    "config-batch_size-fraction": (
+        "config", "batch_size", 10.5, "batch_size must be a JSON integer"
+    ),
+    "config-seed-string": ("config", "seed", "x", "seed must be a JSON integer"),
+    "config-seed-boolean": ("config", "seed", True, "seed must be a JSON integer"),
+    "config-shuffle-string": ("config", "shuffle", "no", "shuffle must be a JSON boolean"),
+    "config-mask_to_domain-string": (
+        "config", "mask_to_domain", "no", "mask_to_domain must be a JSON boolean"
+    ),
+    "config-partitions-number": ("config", "partitions", 5, "partitions must be a JSON string"),
+    "config-aggregation-number": ("config", "aggregation", 1, "aggregation must be a JSON string"),
+    "manifest-number": ("manifest", "", 5, "document must be a JSON object"),
+    "manifest-edge-number": ("manifest", "edge", 5, "edge must be a JSON object"),
+    "manifest-near_generalist-string": (
+        "manifest", "near_generalist", "near.bin", "near_generalist must be a JSON object"
+    ),
+    "manifest-experts-number": ("manifest", "experts", 5, "experts must be a JSON array"),
+    "manifest-experts-entry-number": (
+        "manifest", "experts", [5], "experts[0] must be a JSON object"
+    ),
+    "manifest-experts-domain-number": (
+        "manifest", "experts", [{"domain": 1, "name": "x", "logits_file": "x.bin"}],
+        "experts[0].domain must be a JSON array",
+    ),
+    "manifest-labels_file-number": (
+        "manifest", "labels_file", 5, "labels_file must be a JSON string"
+    ),
 }
 
 
 @pytest.mark.parametrize("command", ["validate", "sweep"])
 @pytest.mark.parametrize(
-    "document,key,value", list(WRONG_SHAPES.values()), ids=list(WRONG_SHAPES)
+    "document,key,value,named", list(WRONG_SHAPES.values()), ids=list(WRONG_SHAPES)
 )
 def test_json_of_the_wrong_shape_exits_2_naming_the_file(
-    workspace, tmp_path, capsys, command, document, key, value
+    workspace, tmp_path, capsys, command, document, key, value, named
 ):
     good_manifest = workspace / "traces" / "manifest.json"
     # Beside the good manifest, so its relative data paths still resolve.
@@ -188,9 +212,7 @@ def test_json_of_the_wrong_shape_exits_2_naming_the_file(
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert str(bad) in err
-    assert "must be a JSON" in err
-    if document == "config" and key:
-        assert f"{key} must be a JSON" in err
+    assert named in err
 
 
 # (sweep config key, value, what the error must say besides the file)
@@ -232,7 +254,7 @@ WRONG_PROFILES = {
     "points-entry-number": (_profiles_doc([5]), "profiles[0].points[0] must be a JSON object"),
     "latency-string": (
         _profiles_doc([{"batch": 1, "latency_ms": "x", "energy_mj": 1.0}]),
-        "profiles[0].points[0]: latency_ms must be a number",
+        "profiles[0].points[0].latency_ms must be a JSON number",
     ),
 }
 
@@ -256,6 +278,137 @@ def test_cost_profiles_of_the_wrong_shape_exit_2_naming_the_file(
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert str(profiles) in err
+    assert named in err
+
+
+def _point(**fields) -> dict:
+    return {"batch": 1, "latency_ms": 1.0, "energy_mj": 0.0, **fields}
+
+
+# (document, key path to replace, value, what the error must name besides the file)
+BAD_DOCUMENTS = {
+    "config-comm-rtt_ms-boolean": ("config", ("comm",), {"rtt_ms": True},
+                                   "comm.rtt_ms must be a JSON number"),
+    "config-expert_profiles-bad-label": (
+        "config", ("expert_profiles",), {"bogus": {"device": "agx-orin", "model": "deit-6h"}},
+        "expert_profiles.bogus: bad domain label",
+    ),
+    "config-edge_profile-device-number": ("config", ("edge_profile", "device"), 5,
+                                          "edge_profile.device must be a JSON string"),
+    "profiles-batch-boolean": ("profiles", ("profiles", 0, "points", 0), _point(batch=True),
+                               "profiles[0].points[0].batch must be a JSON integer"),
+    "profiles-latency-boolean": ("profiles", ("profiles", 0, "points", 0),
+                                 _point(latency_ms=True),
+                                 "profiles[0].points[0].latency_ms must be a JSON number"),
+    "profiles-latency-string": ("profiles", ("profiles", 0, "points", 0),
+                                _point(latency_ms="1.5"),
+                                "profiles[0].points[0].latency_ms must be a JSON number"),
+    "profiles-point-unknown-key": ("profiles", ("profiles", 0, "points", 0),
+                                   _point(latncy_ms=1.0),
+                                   "profiles[0].points[0] has unknown keys: ['latncy_ms']"),
+    "manifest-expert-name-number": ("manifest", ("experts", 0, "name"), 5,
+                                    "experts[0].name must be a JSON string"),
+    "manifest-expert-domain-strings": ("manifest", ("experts", 0, "domain"), ["1"],
+                                       "experts[0].domain[0] must be a JSON integer"),
+    "manifest-labels_file-number": ("manifest", ("labels_file",), 5,
+                                    "labels_file must be a JSON string"),
+    "manifest-unknown-key": ("manifest", ("near_generalsit",), {"name": "n", "logits_file": "n"},
+                             "document has unknown keys: ['near_generalsit']"),
+    "partitions-num_classes-string": ("partitions", ("num_classes",), "8",
+                                      "num_classes must be a JSON integer"),
+}
+
+# Every subcommand that reads each document; "library" is its loader function.
+READERS = {
+    "config": ("validate", "sweep", "library"),
+    "profiles": ("validate", "sweep", "library"),
+    "manifest": ("validate", "simulate", "sweep", "serve", "client", "library"),
+    "partitions": ("validate", "simulate", "sweep", "serve", "client", "synth", "library"),
+}
+LOADERS = {
+    "config": SweepConfig.from_file,
+    "profiles": load_cost_profiles,
+    "manifest": load_trace_set,
+    "partitions": load_partition_map,
+}
+VALIDATE_FLAGS = {
+    "config": "--sweep-config", "profiles": "--profiles",
+    "manifest": "--manifest", "partitions": "--partitions",
+}
+
+
+def _replaced(doc, keys: tuple, value):
+    doc = copy.deepcopy(doc)
+    *parents, last = keys
+    functools.reduce(operator.getitem, parents, doc)[last] = value
+    return doc
+
+
+def _not_reached(*args, **kwargs):
+    raise AssertionError("a document that should be refused was loaded")
+
+
+@pytest.mark.parametrize("defect,command", [
+    (defect, command)
+    for defect, (document, *_) in BAD_DOCUMENTS.items()
+    for command in READERS[document]
+])
+def test_every_reader_refuses_a_bad_document_naming_file_and_key(
+    workspace, tmp_path, capsys, monkeypatch, defect, command
+):
+    document, keys, value, named = BAD_DOCUMENTS[defect]
+    good = {
+        "partitions": workspace / "partitions.json",
+        "manifest": workspace / "traces" / "manifest.json",
+    }
+    docs = {
+        "partitions": json.loads(good["partitions"].read_text()),
+        "manifest": json.loads(good["manifest"].read_text()),
+        "profiles": {"profiles": [
+            {"device": "rpi5", "model": "deit-3h", "points": [_point()]},
+            {"device": "agx-orin", "model": "deit-6h", "points": [_point()]},
+        ]},
+    }
+    files = {
+        **{name: str(path) for name, path in good.items()},
+        "profiles": str(tmp_path / "profiles.json"),
+        "config": str(tmp_path / "sweep.json"),
+    }
+    # Beside the good manifest, so its relative data paths still resolve.
+    files[document] = str(
+        workspace / "traces" / f"{tmp_path.name}.json"
+        if document == "manifest" else tmp_path / f"bad-{document}.json"
+    )
+    docs["config"] = {
+        **_sweep_doc(workspace, files["manifest"]),
+        "partitions": files["partitions"], "profiles": files["profiles"],
+    }
+    docs[document] = _replaced(docs[document], keys, value)
+    for name in ("profiles", "config", document):
+        with open(files[name], "w") as fh:
+            json.dump(docs[name], fh)
+    bad = files[document]
+
+    if command == "library":
+        with pytest.raises(ConfigError) as exc:
+            LOADERS[document](bad)
+        err = str(exc.value)
+    else:
+        monkeypatch.setattr("coinfer.cli.NearEdgeServer", _not_reached)
+        monkeypatch.setattr("coinfer.cli.run_edge_client", _not_reached)
+        inputs = ["--manifest", files["manifest"], "--partitions", files["partitions"]]
+        argv = {
+            "validate": ["validate", VALIDATE_FLAGS[document], bad],
+            "simulate": ["simulate", *inputs, "--tau", "0.9"],
+            "sweep": ["sweep", "--config", files["config"], "--output", str(tmp_path / "r")],
+            "serve": ["serve", "--listen", "127.0.0.1:0", *inputs],
+            "client": ["client", "--server", "127.0.0.1:1", *inputs, "--tau", "0.9"],
+            "synth": ["synth", "--partitions", bad, "--top1", "0.5", "--samples", "10",
+                      "--out", str(tmp_path / "t")],
+        }[command]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+    assert bad in err
     assert named in err
 
 
@@ -346,6 +499,17 @@ def test_client_rejects_malformed_address(workspace, capsys):
                "--tau", "0.9"])
     assert rc == 2
     assert "host:port" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["serve", "--listen", "127.0.0.1:70000"],
+    ["client", "--server", "127.0.0.1:70000", "--tau", "0.9"],
+], ids=["serve", "client"])
+def test_port_out_of_range_exits_2(workspace, capsys, argv):
+    rc = main([*argv, "--manifest", str(workspace / "traces" / "manifest.json"),
+               "--partitions", str(workspace / "partitions.json")])
+    assert rc == 2
+    assert "127.0.0.1:70000" in capsys.readouterr().err
 
 
 def test_client_unreachable_server_exits_3(workspace, capsys):

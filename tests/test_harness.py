@@ -1,4 +1,8 @@
+import importlib.util
 import json
+import re
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -390,6 +394,21 @@ class TestReports:
         path.write_text(json.dumps({"schema_version": 99}))
         with pytest.raises(ConfigError, match="schema"):
             load_report(path)
+        path.write_text("5")
+        named = re.escape(f"{path}: document must be a JSON object")
+        with pytest.raises(ConfigError, match=named):
+            load_report(path)
+
+    @pytest.mark.parametrize("expert_profiles", [
+        None, {"1": ("near-dev", "big"), "2+3": ("near-dev", "big")},
+    ], ids=["without-expert-profiles", "with-expert-profiles"])
+    def test_report_config_loads_back_equal(self, tmp_path, expert_profiles):
+        pm, ts = toy_world(seed=12, m=60)
+        cfg = toy_config(thresholds=(0.9, 0.5), expert_profiles=expert_profiles)
+        _, json_path = emit_report(
+            run_sweep(cfg, ts=ts, pm=pm, profiles=toy_profiles()), tmp_path / "report"
+        )
+        assert SweepConfig.from_mapping(load_report(json_path)["config"]) == cfg
 
     def test_histogram_serialization_sorted_by_domain(self, tmp_path):
         pm, ts = toy_world(seed=16, m=200)
@@ -444,3 +463,17 @@ def test_sweep_from_files_end_to_end(tmp_path):
     for a, b in zip(result.rows, in_memory.rows):
         assert a.accuracy == b.accuracy
         assert a.cost == b.cost
+
+
+def test_benchmark_workload_configs_load(monkeypatch):
+    # The benchmark feeds each workload's sweep config to SweepConfig.from_mapping.
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, workloads)  # dataclasses look it up
+    spec.loader.exec_module(workloads)
+    for workload in workloads.WORKLOADS.values():
+        doc = workload.sweep_config("manifest.json", seed=7)
+        cfg = SweepConfig.from_mapping(doc)
+        assert cfg.thresholds == workload.thresholds
+        assert cfg.comm == CommModel(**doc.get("comm", {}))

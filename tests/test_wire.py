@@ -202,6 +202,12 @@ class TestServer:
         # a bad threshold is rejected before anything is sent
         with pytest.raises(ValueError, match=r"\[0,1\]"):
             run_edge_client(("127.0.0.1", 1), ts.edge, pm, 1.5, 2, retries=0)
+        # so are a negative retry count and a timeout that is not positive
+        with pytest.raises(ValueError, match="retries"):
+            run_edge_client(("127.0.0.1", 1), ts.edge, pm, 0.9, 2, retries=-1)
+        for timeout in (0.0, -1.0):
+            with pytest.raises(ValueError, match="timeout"):
+                run_edge_client(("127.0.0.1", 1), ts.edge, pm, 0.9, 2, timeout=timeout)
 
     def test_unknown_sample_index_gets_error_code(self):
         pm, ts = small_trace_set(seed=6, m=20)
