@@ -94,11 +94,10 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_serve(args) -> int:
+    addr = _addr(args.listen)
     pm = load_partition_spec(args.partitions)
     ts = load_trace_set(args.manifest, pm, args.k)
-    server = NearEdgeServer(
-        _addr(args.listen), ts, pm, args.k, mask_to_domain=args.mask_to_domain
-    )
+    server = NearEdgeServer(addr, ts, pm, args.k, mask_to_domain=args.mask_to_domain)
     host, port = server.address
     print(f"near-edge server listening on {host}:{port} "
           f"({len(ts.experts)} experts, k={args.k})")
@@ -112,10 +111,11 @@ def _cmd_serve(args) -> int:
 
 
 def _cmd_client(args) -> int:
+    addr = _addr(args.server)
     pm = load_partition_spec(args.partitions)
     ts = load_trace_set(args.manifest)
     outcome = run_edge_client(
-        _addr(args.server), ts.edge, pm, args.tau, args.k,
+        addr, ts.edge, pm, args.tau, args.k,
         timeout=args.timeout, retries=args.retries,
     )
     _print_outcome(outcome, args.dump_predictions)

@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import CoinferError
 from .partition import DomainSet, PartitionMap
-from .trace import PredictionTrace, TraceSet, softmax_matrix, topk_matrix
+from .trace import PredictionTrace, TraceSet, softmax_and_confidence, topk_matrix
 
 __all__ = [
     "RoutingPrimitives",
@@ -97,8 +97,7 @@ def gate_signals(
     client can run it locally and leave refinement to the server.
     """
     _check_gate_params(0.0, k, edge_trace.num_classes)
-    probs = softmax_matrix(edge_trace.logits)
-    conf = probs.max(axis=1)
+    probs, conf = softmax_and_confidence(edge_trace.logits)
     top = topk_matrix(probs, k).astype(np.int64, copy=False)
     local_pred = top[:, 0].copy()
 
@@ -119,9 +118,10 @@ def gate_signals(
 
 
 def compute_routing_primitives(
-    ts: TraceSet, pm: PartitionMap, k: int, mask_to_domain: bool = False
+    ts: TraceSet, pm: PartitionMap, k: int, mask_to_domain: bool = False,
+    *, order: np.ndarray | None = None,
 ) -> RoutingPrimitives:
-    """Evaluate every sample's local and offloaded outcome once."""
+    """Evaluate each sample's local and offloaded outcome once; sample i is row ``order[i]``."""
     ts.validate_for(pm, k)
     conf, local_pred, top, codes, table = gate_signals(ts.edge, pm, k)
     by_code = np.argsort(codes, kind="stable")
@@ -135,14 +135,15 @@ def compute_routing_primitives(
         allowed = pm.classes_in(dom) if mask_to_domain else None
         refined[rows] = expert_argmax(expert.logits[rows], allowed)
 
+    keep = slice(None) if order is None else order
     return RoutingPrimitives(
         k=k,
-        confidences=conf,
-        local_predictions=local_pred,
-        topk=top,
-        codes=codes,
+        confidences=conf[keep],
+        local_predictions=local_pred[keep],
+        topk=top[keep],
+        codes=codes[keep],
         domain_table=table,
-        refined=refined,
+        refined=refined[keep],
     )
 
 
@@ -217,6 +218,6 @@ def offload_proportion_curve(
     """Exact offload proportion (fraction with conf < tau) per threshold."""
     for t in thresholds:
         check_threshold(t)
-    conf = softmax_matrix(edge_trace.logits).max(axis=1)
+    conf = softmax_and_confidence(edge_trace.logits)[1]
     m = edge_trace.num_samples
     return [(float(t), float((conf < t).sum()) / m) for t in thresholds]

@@ -19,6 +19,7 @@ to reimplement.
 from __future__ import annotations
 
 import json
+import stat
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Mapping, Sequence
@@ -153,12 +154,20 @@ class TraceSet:
             raise ConfigError(f"expert coverage incomplete, missing domains: {missing}")
 
 
+def softmax_and_confidence(logits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Row-wise stable softmax in one float64 buffer, and each row's max probability:
+    1 / sum(exp(x - max)) bit for bit, as exp(0) = 1.0 and rounded division is monotone."""
+    probs = np.array(logits, dtype=np.float64)
+    probs -= probs.max(axis=1, keepdims=True)
+    np.exp(probs, out=probs)
+    sums = probs.sum(axis=1, keepdims=True)
+    probs /= sums
+    return probs, 1.0 / sums[:, 0]
+
+
 def softmax_matrix(logits: np.ndarray) -> np.ndarray:
     """Row-wise stable softmax of an M x N logit matrix."""
-    m = np.asarray(logits, dtype=np.float64)
-    shifted = m - m.max(axis=1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=1, keepdims=True)
+    return softmax_and_confidence(logits)[0]
 
 
 def topk_matrix(probs: np.ndarray, k: int) -> np.ndarray:
@@ -193,10 +202,18 @@ def topk_matrix(probs: np.ndarray, k: int) -> np.ndarray:
 
 def topk_accuracy(trace: PredictionTrace, k: int) -> float:
     """Fraction of samples whose label appears among the top-k classes."""
-    probs = softmax_matrix(trace.logits)
-    top = topk_matrix(probs, k)
-    hits = (top == trace.labels[:, None]).any(axis=1)
-    return float(hits.sum()) / trace.num_samples
+    if k != 1:
+        top = topk_matrix(softmax_matrix(trace.logits), k)
+        return float((top == trace.labels[:, None]).any(axis=1).sum()) / trace.num_samples
+    top = trace.logits.argmax(axis=1)
+    best = np.take_along_axis(trace.logits, top[:, None], axis=1).astype(np.float64)
+    # If every other logit x < m - 1e-6 (m the top one; below a huge m, float32s are
+    # 2**28 float64 ulps apart), exp(x - m) < 1 - 4e-7 stays ~10**9 ulps under exp(0)
+    # = 1.0 through exp's and the division's few ulps of error, so the logit argmax is
+    # the probability argmax. Closer rows, e.g. [-1e-30, 0], take the probability path.
+    close = np.flatnonzero((trace.logits >= best - 1e-6).sum(axis=1) > 1)
+    top[close] = softmax_matrix(trace.logits[close]).argmax(axis=1)
+    return float((top == trace.labels).sum()) / trace.num_samples
 
 
 def recall_gap(trace: PredictionTrace, k: int) -> float:
@@ -495,17 +512,31 @@ def _relabel(trace: PredictionTrace, labels: np.ndarray) -> PredictionTrace:
 
 
 def _read_exact(path: Path, dtype: np.dtype, count: int, what: str) -> np.ndarray:
+    """Exactly ``count`` values from a regular file of exactly that size.
+
+    The file is checked before it is opened, so that a device such as
+    /dev/zero is not read without end and a FIFO does not block the open.
+    """
+    expected = count * dtype.itemsize
+    out = np.empty(count, dtype=dtype)
     try:
-        raw = path.read_bytes()
+        info = path.stat()
+        if not stat.S_ISREG(info.st_mode):
+            raise ConfigError(f"{what} file {path} is not a regular file")
+        if info.st_size != expected:
+            raise ConfigError(
+                f"{what} file {path}: expected exactly {expected} bytes "
+                f"({count} x {dtype.itemsize}), found {info.st_size}"
+            )
+        with open(path, "rb", buffering=0) as fh:
+            view, done = memoryview(out).cast("B"), 0
+            while done < expected and (n := fh.readinto(view[done:])):
+                done += n
     except OSError as exc:
         raise ConfigError(f"cannot read {what} file {path}: {exc}") from exc
-    expected = count * dtype.itemsize
-    if len(raw) != expected:
-        raise ConfigError(
-            f"{what} file {path}: expected exactly {expected} bytes "
-            f"({count} x {dtype.itemsize}), found {len(raw)}"
-        )
-    return np.frombuffer(raw, dtype=dtype)
+    if done != expected:
+        raise ConfigError(f"{what} file {path}: expected {expected} bytes, read only {done}")
+    return out
 
 
 _TRACE_ENTRY = {"name": "string", "logits_file": "string"}

@@ -577,9 +577,11 @@ def _offload_over_socket(
     addr: tuple[str, int],
     requests: list[OffloadRequest],
     timeout: float,
+    num_classes: int,
 ) -> dict[int, OffloadResponse]:
-    """One connection, pipelined: writer streams requests, reader collects."""
+    """One connection, pipelined: writer streams requests, reader checks and collects."""
     responses: dict[int, OffloadResponse] = {}
+    sent = {req.request_id for req in requests}
     failure: list[BaseException] = []
     # The reader file is closed with the socket: an open one keeps the
     # connection open after the socket object is closed.
@@ -600,6 +602,17 @@ def _offload_over_socket(
                         )
                     if not isinstance(msg, OffloadResponse):
                         raise ProtocolError(f"unexpected {type(msg).__name__} from server")
+                    if msg.request_id not in sent:
+                        raise ProtocolError(
+                            f"response to request {msg.request_id}, which was not sent"
+                        )
+                    if msg.request_id in responses:
+                        raise ProtocolError(f"second response to request {msg.request_id}")
+                    if msg.predicted_class >= num_classes:
+                        raise ProtocolError(
+                            f"predicted class {msg.predicted_class} for request "
+                            f"{msg.request_id} out of range [0, {num_classes})"
+                        )
                     responses[msg.request_id] = msg
             except BaseException as exc:
                 failure.append(exc)
@@ -664,7 +677,9 @@ def run_edge_client(
         last_error: Exception | None = None
         for _ in range(retries + 1):
             try:
-                responses = _offload_over_socket(server_addr, requests, timeout)
+                responses = _offload_over_socket(
+                    server_addr, requests, timeout, edge_trace.num_classes
+                )
                 last_error = None
                 break
             except (TransportError, OSError) as exc:

@@ -512,6 +512,19 @@ def test_port_out_of_range_exits_2(workspace, capsys, argv):
     assert "127.0.0.1:70000" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["serve", "--listen", "127.0.0.1:70000"],
+    ["client", "--server", "127.0.0.1:70000", "--tau", "0.9"],
+], ids=["serve", "client"])
+def test_bad_port_is_refused_before_the_traces_load(workspace, capsys, argv):
+    rc = main([*argv, "--manifest", "/nonexistent/manifest.json",
+               "--partitions", str(workspace / "partitions.json")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "127.0.0.1:70000" in err
+    assert "manifest" not in err
+
+
 def test_client_unreachable_server_exits_3(workspace, capsys):
     rc = main(["client", "--server", "127.0.0.1:1",
                "--manifest", str(workspace / "traces" / "manifest.json"),

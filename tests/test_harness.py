@@ -20,7 +20,7 @@ from coinfer.harness import (
 )
 from coinfer.partition import DomainSet, enumerate_expert_domains
 from coinfer.router import apply_gate, compute_routing_primitives
-from coinfer.trace import TraceTargets, synthesize_trace_set, topk_accuracy
+from coinfer.trace import TraceTargets, shuffle_trace_set, synthesize_trace_set, topk_accuracy
 from conftest import make_partition_map
 
 
@@ -303,8 +303,21 @@ def reference_sweep(cfg, ts, pm, profiles):
                 comm=cfg.comm, aggregation=cfg.aggregation,
             )
             start += b
-        rows.append((outcome.offload_count, histogram, total))
+        rows.append((outcome.offload_count, histogram, total, outcome.accuracy))
     return rows
+
+
+def assert_rows_equal_reference(rows, want):
+    assert len(rows) == len(want)
+    for row, (count, histogram, total, accuracy) in zip(rows, want):
+        assert row.offload_count == count
+        assert row.histogram == histogram
+        assert row.accuracy == accuracy
+        for field in ("t_edge_ms", "t_near_ms", "t_comm_ms",
+                      "e_edge_mj", "e_near_mj", "e_comm_mj"):
+            assert getattr(row.cost, field) == pytest.approx(
+                getattr(total, field), rel=1e-12, abs=0.0
+            ), field
 
 
 class TestPricingMatchesPerBatchReference:
@@ -333,14 +346,32 @@ class TestPricingMatchesPerBatchReference:
         want = reference_sweep(cfg, ts, pm, profiles)
         assert result.rows[0].offload_count == ts.num_samples  # tau=1 offloads all
         assert result.rows[-1].offload_count == 0
-        for row, (count, histogram, total) in zip(result.rows, want):
-            assert row.offload_count == count
-            assert row.histogram == histogram
-            for field in ("t_edge_ms", "t_near_ms", "t_comm_ms",
-                          "e_edge_mj", "e_near_mj", "e_comm_mj"):
-                assert getattr(row.cost, field) == pytest.approx(
-                    getattr(total, field), rel=1e-12, abs=0.0
-                ), field
+        assert_rows_equal_reference(result.rows, want)
+
+    @pytest.mark.parametrize("mask", [False, True], ids=["unmasked", "masked"])
+    @pytest.mark.parametrize("aggregation", ["monolithic", "serial", "parallel"])
+    def test_shuffled_sweep_equals_reference_on_shuffled_traces(self, aggregation, mask):
+        pm, ts, profiles, labels = self.world()
+        # A concave near-edge curve, so that monolithic totals depend on which
+        # samples share a batch, as the per-expert ones do.
+        profiles[("near-dev", "big")] = CostProfile(
+            "near-dev", "big", (1, 3, 6), (5.0, 8.0, 9.0), (2.0, 3.5, 4.0)
+        )
+        cfg = toy_config(
+            thresholds=(1.0, 0.8, 0.6, 0.3, 0.0),
+            aggregation=aggregation,
+            expert_profiles=labels,
+            shuffle=True,
+            seed=77,
+            mask_to_domain=mask,
+        )
+        result = run_sweep(cfg, ts=ts, pm=pm, profiles=profiles)
+        shuffled = shuffle_trace_set(ts, cfg.seed)
+        assert_rows_equal_reference(result.rows, reference_sweep(cfg, shuffled, pm, profiles))
+        assert result.baselines["edge_only"].accuracy == topk_accuracy(shuffled.edge, 1)
+        assert result.baselines["near_edge_only"].accuracy == topk_accuracy(
+            shuffled.near_generalist, 1
+        )
 
 
 class TestReports:

@@ -1,9 +1,13 @@
 import json
 import math
+import os
+import resource
+import subprocess
+import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from coinfer.errors import ConfigError
 from coinfer.partition import DomainSet, enumerate_expert_domains
@@ -14,6 +18,7 @@ from coinfer.trace import (
     load_trace_set,
     recall_gap,
     shuffle_trace_set,
+    softmax_and_confidence,
     softmax_matrix,
     synthesize_expert_trace,
     synthesize_trace,
@@ -97,6 +102,48 @@ def test_topk_accuracy_hand_case():
     assert topk_accuracy(trace, 1) == 0.5
     assert topk_accuracy(trace, 2) == 1.0
     assert recall_gap(trace, 2) == pytest.approx(0.5)
+
+
+def float64_softmax(logits):
+    """The gate's softmax as separate float64 temporaries: the reference."""
+    m = np.asarray(logits, dtype=np.float64)
+    e = np.exp(m - m.max(axis=1, keepdims=True))
+    return e / e.sum(axis=1, keepdims=True)
+
+
+@st.composite
+def extreme_logits(draw):
+    """Rows mixing exact ties, float32 neighbours, entries whose shifted exp
+    underflows (below -708), a dominant class, tiny gaps and arbitrary floats."""
+    n = draw(st.integers(2, 6))
+    anchor = np.float32(draw(st.floats(-1e6, 1e6, width=32)))
+    entry = st.one_of(
+        st.just(anchor),
+        st.sampled_from([np.nextafter(anchor, np.float32(d)) for d in (np.inf, -np.inf)]),
+        st.floats(708.0, 5000.0).map(lambda d: anchor - d),
+        st.floats(30.0, 1e30).map(lambda d: anchor + d),
+        st.sampled_from([-1e-30, 0.0, 1e-30]),
+        st.floats(width=32, allow_nan=False, allow_infinity=False),
+    )
+    rows = draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=1, max_size=6))
+    return np.array(rows, dtype=np.float32)
+
+
+@settings(max_examples=300, deadline=None)
+@given(logits=extreme_logits())
+@example(logits=np.array([[-1e-30, 0.0]], dtype=np.float32))
+@example(logits=np.array([[0.0, 0.0, 0.0], [2.5, -1.0, 2.5]], dtype=np.float32))
+@example(logits=np.array([[1.0, np.nextafter(np.float32(1), np.float32(2))]], dtype=np.float32))
+@example(logits=np.array([[0.0, -708.5, -745.2, -1000.0]], dtype=np.float32))
+@example(logits=np.array([[3e38, -3e38, 0.0], [-5.0, 1e30, -5.0]], dtype=np.float32))
+def test_one_buffer_gate_maths_equal_the_float64_path(logits):
+    ref = float64_softmax(logits)
+    probs, conf = softmax_and_confidence(logits)
+    assert probs.tobytes() == ref.tobytes()
+    assert softmax_matrix(logits).tobytes() == ref.tobytes()
+    assert conf.tobytes() == ref.max(axis=1).tobytes()
+    # Labelled with the probability argmax, top-1 from the logits hits every row.
+    assert topk_accuracy(PredictionTrace("x", logits, ref.argmax(axis=1)), 1) == 1.0
 
 
 def test_recall_gap_requires_k_at_least_two():
@@ -228,6 +275,36 @@ def test_loader_rejects_short_logits(tmp_path):
     edge_file.write_bytes(edge_file.read_bytes()[:-4])
     with pytest.raises(ConfigError, match="expected exactly"):
         load_trace_set(manifest)
+
+
+def _limit_memory():
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+
+@pytest.mark.parametrize("kind", ["dev-zero", "fifo", "one-byte-long"])
+def test_loader_refuses_what_it_cannot_read_in_bounds(tmp_path, kind):
+    """Checked in a child with 1 GiB of address space and a timeout, so that an
+    unbounded read fails the test instead of filling memory or hanging."""
+    pm = make_partition_map(4, 2)
+    ts = synthesize_trace_set(TraceTargets(topk_acc={1: 0.5}), pm, 1, 16, seed=0)
+    manifest = write_trace_set(ts, tmp_path)
+    edge_file = tmp_path / "edge.bin"
+    if kind == "one-byte-long":
+        edge_file.write_bytes(edge_file.read_bytes() + b"\x00")
+    else:
+        edge_file.unlink()
+        if kind == "fifo":
+            os.mkfifo(edge_file)
+        else:
+            edge_file.symlink_to("/dev/zero")
+    proc = subprocess.run(
+        [sys.executable, "-m", "coinfer.cli", "validate", "--manifest", str(manifest)],
+        capture_output=True, text=True, timeout=30, preexec_fn=_limit_memory,
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert str(edge_file) in proc.stderr
+    want = "expected exactly 256 bytes" if kind == "one-byte-long" else "not a regular file"
+    assert want in proc.stderr
 
 
 def test_loader_rejects_non_finite_logits(tmp_path):

@@ -3,6 +3,8 @@ import socket
 import sys
 import threading
 import time
+from contextlib import contextmanager
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -547,8 +549,10 @@ class TestServerLoop:
         assert isinstance(after, OffloadResponse)  # the connection stays open
 
 
-def test_server_error_is_not_retried():
-    pm, ts = small_trace_set(seed=16, m=200)
+@contextmanager
+def scripted_server(reply):
+    """A fake near-edge server that answers each request with ``reply(request)``,
+    a list of messages; yields its address and the connections it accepted."""
     accepted = []
     stop = threading.Event()
     listener = socket.create_server(("127.0.0.1", 0))
@@ -562,27 +566,52 @@ def test_server_error_is_not_retried():
                 continue
             accepted.append(conn)
             conn.settimeout(5)
-            with conn:
-                rfile = conn.makefile("rb")
+            with conn, conn.makefile("rb") as rfile:
                 try:
                     while (msg := read_message(rfile)) is not None:
-                        conn.sendall(encode(ErrorMsg(
-                            request_id=msg.request_id, code=ERR_UNKNOWN_SAMPLE,
-                            message="unknown sample")))
+                        conn.sendall(b"".join(encode(m) for m in reply(msg)))
                 except (OSError, ProtocolError):
                     pass
 
     thread = threading.Thread(target=serve, daemon=True)
     thread.start()
     try:
-        with pytest.raises(ProtocolError, match=r"server error 2 for request \d+"):
-            run_edge_client(listener.getsockname()[:2], ts.edge, pm, 1.0, 2,
-                            timeout=5.0, retries=2)
+        yield listener.getsockname()[:2], accepted
     finally:
         stop.set()
         thread.join(timeout=10)
         listener.close()
     assert not thread.is_alive()
+
+
+def test_server_error_is_not_retried():
+    pm, ts = small_trace_set(seed=16, m=200)
+
+    def refuse(msg):
+        return [ErrorMsg(request_id=msg.request_id, code=ERR_UNKNOWN_SAMPLE,
+                         message="unknown sample")]
+
+    with scripted_server(refuse) as (addr, accepted):
+        with pytest.raises(ProtocolError, match=r"server error 2 for request \d+"):
+            run_edge_client(addr, ts.edge, pm, 1.0, 2, timeout=5.0, retries=2)
+    assert len(accepted) == 1
+
+
+@pytest.mark.parametrize("lie,match", [
+    (lambda ok: [replace(ok, request_id=ok.request_id + 10**6)],
+     r"response to request \d+, which was not sent"),
+    (lambda ok: [ok, ok], r"second response to request \d+"),
+    (lambda ok: [replace(ok, predicted_class=8)], r"predicted class 8 .* out of range \[0, 8\)"),
+], ids=["unrequested", "repeated", "class-out-of-range"])
+def test_client_refuses_a_response_it_did_not_ask_for(lie, match):
+    pm, ts = small_trace_set(seed=17, m=200)
+    honest = NearEdgeServer(("127.0.0.1", 0), ts, pm, 2)
+    try:
+        with scripted_server(lambda msg: lie(honest.answer(msg))) as (addr, accepted):
+            with pytest.raises(ProtocolError, match=match):
+                run_edge_client(addr, ts.edge, pm, 1.0, 2, timeout=5.0, retries=2)
+    finally:
+        honest.shutdown()
     assert len(accepted) == 1
 
 
