@@ -256,8 +256,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--manifest", required=True, help="manifest providing the edge trace")
     add_common(p)
     p.add_argument("--tau", type=float, required=True)
-    p.add_argument("--timeout", type=float, default=30.0)
-    p.add_argument("--retries", type=int, default=2)
+    p.add_argument("--timeout", type=float, default=30.0,
+                   help="seconds without progress after which an attempt fails")
+    p.add_argument("--retries", type=int, default=2,
+                   help="extra attempts, each resending only the unanswered samples")
     p.add_argument("--dump-predictions")
     p.set_defaults(func=_cmd_client)
 

@@ -19,7 +19,6 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .errors import CoinferError
 from .partition import DomainSet, PartitionMap
 from .trace import PredictionTrace, TraceSet, softmax_and_confidence, topk_matrix
 
@@ -129,11 +128,8 @@ def compute_routing_primitives(
 
     refined = np.empty(ts.num_samples, dtype=np.int64)
     for dom, rows in zip(table, np.split(by_code, ends[:-1])):
-        expert = ts.experts.get(dom)
-        if expert is None:
-            raise CoinferError(f"no expert trace for routed domain {dom.label}")
         allowed = pm.classes_in(dom) if mask_to_domain else None
-        refined[rows] = expert_argmax(expert.logits[rows], allowed)
+        refined[rows] = expert_argmax(ts.experts[dom].logits[rows], allowed)
 
     keep = slice(None) if order is None else order
     return RoutingPrimitives(

@@ -96,6 +96,14 @@ class PredictionTrace:
         return self.logits.shape[1]
 
 
+def _check_class_count(pm: PartitionMap, num_classes: int):
+    """Refuse a partition map over a label space other than the traces'."""
+    if pm.num_classes != num_classes:
+        raise ConfigError(
+            f"partition map covers {pm.num_classes} classes but traces have {num_classes}"
+        )
+
+
 @dataclass(frozen=True)
 class TraceSet:
     """Edge trace plus one expert trace per domain, over one sample set.
@@ -140,11 +148,7 @@ class TraceSet:
 
     def validate_for(self, pm: PartitionMap, k: int):
         """Check expert coverage for routing with this partition map and k."""
-        if pm.num_classes != self.num_classes:
-            raise ConfigError(
-                f"partition map covers {pm.num_classes} classes but traces have "
-                f"{self.num_classes}"
-            )
+        _check_class_count(pm, self.num_classes)
         missing = [
             d.label
             for d in enumerate_expert_domains(pm.num_partitions, k)

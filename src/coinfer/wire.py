@@ -22,6 +22,7 @@ Readers refuse a payload longer than ``MAX_PAYLOAD_BYTES`` (1 MiB).
 from __future__ import annotations
 
 import contextlib
+import selectors
 import socket
 import struct
 import threading
@@ -41,7 +42,7 @@ from .router import (
     expert_argmax,
     gate_signals,
 )
-from .trace import PredictionTrace, TraceSet
+from .trace import PredictionTrace, TraceSet, _check_class_count
 
 __all__ = [
     "MAGIC",
@@ -297,23 +298,43 @@ def decode(data: bytes) -> Message:
     return _decode_payload(msg_type, data[_HEADER.size :])
 
 
-def _read_exactly(
-    stream: BinaryIO, n: int, what: str, base: int, eof_ok: bool = False
-) -> bytes | None:
+def _closed_mid_frame(buffered: int) -> ProtocolError:
+    """The error for a stream that ends ``buffered`` bytes into a frame."""
+    what = "header" if buffered < _HEADER.size else "payload"
+    return ProtocolError(f"connection closed mid-frame reading {what}", offset=buffered)
+
+
+def _frames(buf: bytearray):
+    """Yield each complete frame at the front of ``buf`` as a message.
+
+    A header is checked as soon as it is buffered, so an oversized frame is
+    refused before its payload. Once the walk is exhausted, the yielded
+    frames are removed from ``buf``; both ends drop the connection on any
+    other exit.
+    """
+    pos = 0
+    while len(buf) - pos >= _HEADER.size:
+        msg_type, length = _check_header(buf, pos)
+        end = pos + _HEADER.size + length
+        if end > len(buf):
+            break
+        msg = _decode_payload(msg_type, bytes(buf[pos + _HEADER.size : end]))
+        pos = end
+        yield msg
+    del buf[:pos]
+
+
+def _read_exactly(stream: BinaryIO, n: int, base: int, eof_ok: bool = False) -> bytes | None:
     """Read n bytes; None on clean EOF before the first byte if eof_ok."""
-    chunks = []
-    got = 0
-    while got < n:
-        chunk = stream.read(n - got)
+    data = bytearray()
+    while len(data) < n:
+        chunk = stream.read(n - len(data))
         if not chunk:
-            if got == 0 and eof_ok:
+            if not data and eof_ok:
                 return None
-            raise ProtocolError(
-                f"connection closed mid-frame reading {what}", offset=base + got
-            )
-        chunks.append(chunk)
-        got += len(chunk)
-    return b"".join(chunks)
+            raise _closed_mid_frame(base + len(data))
+        data += chunk
+    return bytes(data)
 
 
 def read_message(stream: BinaryIO) -> Message | None:
@@ -322,11 +343,11 @@ def read_message(stream: BinaryIO) -> Message | None:
     A header claiming more than ``MAX_PAYLOAD_BYTES`` is rejected with
     ProtocolError before any of the payload is read.
     """
-    header = _read_exactly(stream, _HEADER.size, "header", base=0, eof_ok=True)
+    header = _read_exactly(stream, _HEADER.size, base=0, eof_ok=True)
     if header is None:
         return None
     msg_type, length = _check_header(header)
-    payload = _read_exactly(stream, length, "payload", base=_HEADER.size)
+    payload = _read_exactly(stream, length, base=_HEADER.size)
     return _decode_payload(msg_type, payload)
 
 
@@ -410,19 +431,11 @@ def _answer_frames(buf: bytearray, answer) -> tuple[bytearray, bool]:
     Returns the encoded replies, in request order, and whether the
     connection must close: a bad frame or a message other than a request
     is answered with ``ERR_BAD_FRAME`` after the replies before it, since
-    the stream may be desynchronized. A header is checked as soon as it
-    is buffered, so an oversized frame is refused before its payload.
+    the stream may be desynchronized.
     """
     out = bytearray()
-    pos = 0
     try:
-        while len(buf) - pos >= _HEADER.size:
-            msg_type, length = _check_header(buf, pos)
-            end = pos + _HEADER.size + length
-            if end > len(buf):
-                break
-            msg = _decode_payload(msg_type, bytes(buf[pos + _HEADER.size : end]))
-            pos = end
+        for msg in _frames(buf):
             if not isinstance(msg, OffloadRequest):
                 out += encode(ErrorMsg(
                     request_id=getattr(msg, "request_id", 0),
@@ -435,7 +448,6 @@ def _answer_frames(buf: bytearray, answer) -> tuple[bytearray, bool]:
     except ProtocolError as exc:
         out += encode(ErrorMsg(request_id=0, code=ERR_BAD_FRAME, message=str(exc)))
         return out, True
-    del buf[:pos]
     return out, False
 
 
@@ -490,13 +502,10 @@ class NearEdgeServer:
                 chunk = sock.recv(_RECV_BYTES)
                 if not chunk:
                     if buf:
-                        what = "header" if len(buf) < _HEADER.size else "payload"
-                        exc = ProtocolError(
-                            f"connection closed mid-frame reading {what}", offset=len(buf)
-                        )
-                        sock.sendall(encode(
-                            ErrorMsg(request_id=0, code=ERR_BAD_FRAME, message=str(exc))
-                        ))
+                        sock.sendall(encode(ErrorMsg(
+                            request_id=0, code=ERR_BAD_FRAME,
+                            message=str(_closed_mid_frame(len(buf))),
+                        )))
                     return
                 buf += chunk
                 replies, close = _answer_frames(buf, self.answer)
@@ -573,68 +582,38 @@ class NearEdgeServer:
 # ---------------------------------------------------------------------------
 
 
-def _offload_over_socket(
-    addr: tuple[str, int],
-    requests: list[OffloadRequest],
-    timeout: float,
-    num_classes: int,
-) -> dict[int, OffloadResponse]:
-    """One connection, pipelined: writer streams requests, reader checks and collects."""
-    responses: dict[int, OffloadResponse] = {}
-    sent = {req.request_id for req in requests}
-    failure: list[BaseException] = []
-    # The reader file is closed with the socket: an open one keeps the
-    # connection open after the socket object is closed.
-    with socket.create_connection(addr, timeout=timeout) as sock, sock.makefile("rb") as rfile:
-        sock.settimeout(timeout)
+def _offload_over_socket(addr: tuple[str, int], frames: bytes, count: int, timeout: float, accept):
+    """Stream ``frames`` over one connection; pass each of ``count`` replies to ``accept``.
 
-        def drain():
-            try:
-                for _ in range(len(requests)):
-                    msg = read_message(rfile)
-                    if msg is None:
-                        raise TransportError("server closed the connection early")
-                    if isinstance(msg, ErrorMsg):
-                        # A server error is a verdict on the request, not a
-                        # transport failure, so it is not retried.
-                        raise ProtocolError(
-                            f"server error {msg.code} for request {msg.request_id}: {msg.message}"
-                        )
-                    if not isinstance(msg, OffloadResponse):
-                        raise ProtocolError(f"unexpected {type(msg).__name__} from server")
-                    if msg.request_id not in sent:
-                        raise ProtocolError(
-                            f"response to request {msg.request_id}, which was not sent"
-                        )
-                    if msg.request_id in responses:
-                        raise ProtocolError(f"second response to request {msg.request_id}")
-                    if msg.predicted_class >= num_classes:
-                        raise ProtocolError(
-                            f"predicted class {msg.predicted_class} for request "
-                            f"{msg.request_id} out of range [0, {num_classes})"
-                        )
-                    responses[msg.request_id] = msg
-            except BaseException as exc:
-                failure.append(exc)
-
-        reader = threading.Thread(target=drain)
-        reader.start()
-        try:
-            buf = bytearray()
-            for req in requests:
-                buf += encode(req)
-                if len(buf) >= 64 * 1024:
-                    sock.sendall(buf)
-                    buf.clear()
-            if buf:
-                sock.sendall(buf)
-        finally:
-            reader.join(timeout=timeout + 30.0)
-        if failure:
-            raise failure[0]
-        if reader.is_alive():
-            raise TransportError("timed out waiting for server responses")
-    return responses
+    Each turn reads what has arrived before it writes what the socket
+    takes, so a reply is seen even while the server has stopped reading.
+    The only waits, the connect and ``select``, are bounded by ``timeout``.
+    """
+    with socket.create_connection(addr, timeout=timeout) as sock, \
+            selectors.DefaultSelector() as sel:
+        sock.setblocking(False)
+        sel.register(sock, selectors.EVENT_READ | selectors.EVENT_WRITE)
+        unsent = memoryview(frames)
+        buf = bytearray()
+        while count:
+            ready = sel.select(timeout)
+            if not ready:
+                raise TransportError(f"no progress for {timeout:g} s")
+            events = ready[0][1]
+            if events & selectors.EVENT_READ:
+                chunk = sock.recv(_RECV_BYTES)
+                if not chunk:
+                    if buf:
+                        raise _closed_mid_frame(len(buf))
+                    raise TransportError(f"server closed the connection, {count} replies missing")
+                buf += chunk
+                for msg in _frames(buf):
+                    accept(msg)
+                    count -= 1
+            if events & selectors.EVENT_WRITE:
+                unsent = unsent[sock.send(unsent):]
+                if not unsent:
+                    sel.modify(sock, selectors.EVENT_READ)
 
 
 def run_edge_client(
@@ -650,57 +629,65 @@ def run_edge_client(
 
     Produces the same :class:`CollabOutcome` as in-process collaborative
     inference on the same inputs; the request_id of each offload is its
-    sample index. The whole offload pass is retried on transport errors
-    (the server is stateless, so replays are safe) up to ``retries``
-    extra attempts; an error message from the server raises ProtocolError
-    at once, since a replay would get the same answer.
+    sample index. An attempt, one connection run by one thread, fails when
+    nothing is sent or received for ``timeout`` seconds; up to ``retries``
+    more attempts each resend only the samples still unanswered (the
+    server is stateless). An error message from the server, or a reply
+    the client did not ask for, raises ProtocolError at once.
     """
     check_threshold(threshold)
     if retries < 0:
         raise ValueError(f"retries must be >= 0, got {retries}")
     if not timeout > 0:
         raise ValueError(f"timeout must be > 0, got {timeout}")
+    _check_class_count(pm, edge_trace.num_classes)
     conf, local_pred, top, codes, table = gate_signals(edge_trace, pm, k)
-    offload_rows = np.flatnonzero(conf < threshold)
-
-    requests = [
-        OffloadRequest(
-            request_id=int(i),
-            topk=tuple(int(c) for c in top[i]),
-            sample_index=int(i),
-        )
-        for i in offload_rows
-    ]
-
-    responses: dict[int, OffloadResponse] = {}
-    if requests:
-        last_error: Exception | None = None
-        for _ in range(retries + 1):
-            try:
-                responses = _offload_over_socket(
-                    server_addr, requests, timeout, edge_trace.num_classes
-                )
-                last_error = None
-                break
-            except (TransportError, OSError) as exc:
-                last_error = exc
-        if last_error is not None:
-            raise TransportError(
-                f"offload batch failed after {retries + 1} attempts: {last_error}"
-            )
-
+    offloaded = conf < threshold
+    answered = np.zeros_like(offloaded)
     refined = local_pred.copy()
-    for i in offload_rows.tolist():
-        resp = responses.get(i)
-        if resp is None:
-            raise TransportError(f"no response for sample {i}")
-        domain = table[codes[i]]
-        if resp.domain != domain:
+    m, n = edge_trace.num_samples, edge_trace.num_classes
+
+    def accept(msg: Message):
+        if isinstance(msg, ErrorMsg):
+            # A server error is a verdict on the request, not a transport
+            # failure, so it is not retried.
             raise ProtocolError(
-                f"server routed sample {i} to {resp.domain.label}, "
-                f"client derived {domain.label}"
+                f"server error {msg.code} for request {msg.request_id}: {msg.message}"
             )
-        refined[i] = resp.predicted_class
+        if not isinstance(msg, OffloadResponse):
+            raise ProtocolError(f"unexpected {type(msg).__name__} from server")
+        i = msg.request_id
+        if i >= m or not offloaded[i]:
+            raise ProtocolError(f"response to request {i}, which was not sent")
+        if answered[i]:
+            raise ProtocolError(f"second response to request {i}")
+        if msg.predicted_class >= n:
+            raise ProtocolError(
+                f"predicted class {msg.predicted_class} for request {i} out of range [0, {n})"
+            )
+        if msg.domain != table[codes[i]]:
+            raise ProtocolError(
+                f"server routed sample {i} to {msg.domain.label}, "
+                f"client derived {table[codes[i]].label}"
+            )
+        refined[i] = msg.predicted_class
+        answered[i] = True
+
+    rows = np.flatnonzero(offloaded)
+    for _ in range(retries + 1):
+        if not rows.size:
+            break
+        frames = b"".join(
+            encode(OffloadRequest(request_id=i, topk=tuple(top[i].tolist()), sample_index=i))
+            for i in rows.tolist()
+        )
+        try:
+            _offload_over_socket(server_addr, frames, rows.size, timeout, accept)
+        except (TransportError, OSError) as exc:
+            last_error = exc
+        rows = rows[~answered[rows]]
+    if rows.size:
+        raise TransportError(f"offload batch failed after {retries + 1} attempts: {last_error}")
     primitives = RoutingPrimitives(
         k=k,
         confidences=conf,

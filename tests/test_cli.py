@@ -534,6 +534,27 @@ def test_client_unreachable_server_exits_3(workspace, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("groups", [
+    [[0, 2], [1, 3]],
+    [[c, c + 8] for c in range(8)],
+], ids=["map-smaller-than-traces", "map-larger-than-traces"])
+def test_client_refuses_a_partition_map_that_does_not_fit_the_traces(
+    workspace, tmp_path, capsys, groups
+):
+    partitions = tmp_path / "partitions.json"
+    partitions.write_text(json.dumps({
+        "num_classes": sum(map(len, groups)), "partitions": groups,
+    }))
+    common = ["--manifest", str(workspace / "traces" / "manifest.json"),
+              "--partitions", str(partitions), "--k", "2", "--tau", "0.9"]
+    assert main(["simulate", *common]) == 2
+    want = capsys.readouterr().err
+    assert "partition map covers" in want
+    # Nothing listens on port 1: the refusal must come before the connect.
+    assert main(["client", "--server", "127.0.0.1:1", *common]) == 2
+    assert capsys.readouterr().err == want
+
+
 def test_synth_needs_a_target(workspace, capsys):
     rc = main(["synth", "--partitions", str(workspace / "partitions.json"),
                "--samples", "10", "--out", str(workspace / "t2")])

@@ -1,5 +1,6 @@
 import io
 import socket
+import struct
 import sys
 import threading
 import time
@@ -13,7 +14,7 @@ from hypothesis import example, given, settings, strategies as st
 from coinfer.errors import ProtocolError, TransportError
 from coinfer.partition import DomainSet
 from coinfer.router import collaborative_infer, compute_routing_primitives
-from coinfer.trace import TraceTargets, synthesize_trace_set
+from coinfer.trace import PredictionTrace, TraceTargets, synthesize_trace_set
 from coinfer.wire import (
     DelayedProxy,
     ERR_BAD_FRAME,
@@ -550,12 +551,21 @@ class TestServerLoop:
 
 
 @contextmanager
-def scripted_server(reply):
-    """A fake near-edge server that answers each request with ``reply(request)``,
-    a list of messages; yields its address and the connections it accepted."""
+def scripted_server(reply, rcvbuf=None):
+    """A fake near-edge server that answers each request with ``reply(request)``.
+
+    The reply is a list of messages and raw bytes, sent in order; a last
+    item "close" then ends the connection's writes (reading on until the
+    client's EOF, so no reset discards what was sent), and "hold" stops
+    reading but keeps the connection open until the server stops.
+    ``rcvbuf`` sets SO_RCVBUF on the listener and so on each connection.
+    Yields the address and, per accepted connection, the requests it read.
+    """
     accepted = []
     stop = threading.Event()
     listener = socket.create_server(("127.0.0.1", 0))
+    if rcvbuf is not None:
+        listener.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, rcvbuf)
     listener.settimeout(0.05)
 
     def serve():
@@ -564,12 +574,26 @@ def scripted_server(reply):
                 conn, _ = listener.accept()
             except TimeoutError:
                 continue
-            accepted.append(conn)
+            requests = []
+            accepted.append(requests)
             conn.settimeout(5)
             with conn, conn.makefile("rb") as rfile:
                 try:
                     while (msg := read_message(rfile)) is not None:
-                        conn.sendall(b"".join(encode(m) for m in reply(msg)))
+                        requests.append(msg)
+                        out = reply(msg)
+                        then = out.pop() if out and out[-1] in ("close", "hold") else None
+                        conn.sendall(b"".join(
+                            m if isinstance(m, bytes) else encode(m) for m in out
+                        ))
+                        if then == "hold":
+                            stop.wait(10)
+                            break
+                        if then == "close":
+                            conn.shutdown(socket.SHUT_WR)
+                            while rfile.read(1 << 16):
+                                pass
+                            break
                 except (OSError, ProtocolError):
                     pass
 
@@ -597,22 +621,97 @@ def test_server_error_is_not_retried():
     assert len(accepted) == 1
 
 
-@pytest.mark.parametrize("lie,match", [
-    (lambda ok: [replace(ok, request_id=ok.request_id + 10**6)],
-     r"response to request \d+, which was not sent"),
-    (lambda ok: [ok, ok], r"second response to request \d+"),
-    (lambda ok: [replace(ok, predicted_class=8)], r"predicted class 8 .* out of range \[0, 8\)"),
-], ids=["unrequested", "repeated", "class-out-of-range"])
-def test_client_refuses_a_response_it_did_not_ask_for(lie, match):
-    pm, ts = small_trace_set(seed=17, m=200)
+def test_server_error_is_seen_while_the_server_has_stopped_reading():
+    # The server refuses the first request and then reads nothing more. The
+    # pass (35 bytes per request, 4.5 MB) outgrows Linux's default 4 MiB
+    # send-buffer limit plus the small receive buffer, so the client's writes
+    # back up. The verdict must still surface at once, not after every
+    # attempt has timed out.
+    pm = make_partition_map(8, 4)
+    rng = np.random.default_rng(18)
+    m = 130_000
+    edge = PredictionTrace("edge", rng.standard_normal((m, 8)).astype(np.float32),
+                           rng.integers(0, 8, m))
+    connected = []
+
+    def refuse_then_stop_reading(msg):
+        connected.append(time.monotonic())
+        return [ErrorMsg(request_id=msg.request_id, code=ERR_NO_EXPERT,
+                         message="no expert covers domain 1+2+3"), "hold"]
+
+    timeout = 0.5
+    with scripted_server(refuse_then_stop_reading, rcvbuf=4096) as (addr, accepted):
+        with pytest.raises(ProtocolError, match=r"server error 3 .* domain 1\+2\+3"):
+            run_edge_client(addr, edge, pm, 1.0, 2, timeout=timeout, retries=2)
+        # The frames are built before the connect; time only the exchange.
+        assert time.monotonic() - connected[0] < timeout
+    assert len(accepted) == 1
+
+
+def test_retry_resends_only_the_unanswered_requests():
+    pm, ts = small_trace_set(seed=19, m=200)
     honest = NearEdgeServer(("127.0.0.1", 0), ts, pm, 2)
+    first = 50
+    calls = []
+
+    def answer_some_then_close(msg):
+        calls.append(msg.request_id)
+        return ["close"] if len(calls) == first + 1 else [honest.answer(msg)]
+
     try:
-        with scripted_server(lambda msg: lie(honest.answer(msg))) as (addr, accepted):
-            with pytest.raises(ProtocolError, match=match):
-                run_edge_client(addr, ts.edge, pm, 1.0, 2, timeout=5.0, retries=2)
+        with scripted_server(answer_some_then_close) as (addr, accepted):
+            got = run_edge_client(addr, ts.edge, pm, 1.0, 2, timeout=5.0, retries=1)
     finally:
         honest.shutdown()
-    assert len(accepted) == 1
+    assert len(accepted) == 2
+    answered = {req.request_id for req in accepted[0][:first]}
+    resent = [req.request_id for req in accepted[1]]
+    assert sorted(resent) == sorted(set(range(ts.num_samples)) - answered)
+    assert len(resent) == len(set(resent)) == ts.num_samples - first
+    want = collaborative_infer(ts, pm, 1.0, 2)
+    assert np.array_equal(got.predictions, want.predictions)
+    assert np.array_equal(got.offloaded, want.offloaded)
+    assert dict(got.histogram) == dict(want.histogram)
+
+
+def _other_domain(domain):
+    return DomainSet.of([1]) if domain != DomainSet.of([1]) else DomainSet.of([2])
+
+
+@pytest.mark.parametrize("lie,error,match", [
+    (lambda ok: [replace(ok, request_id=ok.request_id + 10**6)],
+     ProtocolError, r"response to request \d+, which was not sent"),
+    (lambda ok: [ok, ok], ProtocolError, r"second response to request \d+"),
+    (lambda ok: [replace(ok, predicted_class=8)],
+     ProtocolError, r"predicted class 8 .* out of range \[0, 8\)"),
+    (lambda ok: [replace(ok, domain=_other_domain(ok.domain))],
+     ProtocolError, r"server routed sample \d+ to \d+, client derived [\d+]+"),
+    (lambda ok: [OffloadRequest(request_id=ok.request_id, topk=(0,), sample_index=0)],
+     ProtocolError, "unexpected OffloadRequest from server"),
+    # Only the header is sent: waiting for its payload would time out.
+    (lambda ok: [MAGIC + struct.pack("<BI", 2, MAX_PAYLOAD_BYTES + 1)],
+     ProtocolError, "exceeds the 1048576-byte limit"),
+    (lambda ok: [encode(ok)[:20], "close"],
+     ProtocolError, "connection closed mid-frame reading payload"),
+    (lambda ok: ["close"], TransportError, r"2 attempts: .*200 replies missing"),
+    (lambda ok: [], TransportError, r"2 attempts: no progress for 0.5 s"),
+], ids=["unrequested", "repeated", "class-out-of-range", "other-domain", "not-a-response",
+        "oversized-header", "cut-mid-frame", "eof-with-replies-missing", "never-replies"])
+def test_client_refuses_a_response_it_did_not_ask_for(lie, error, match):
+    pm, ts = small_trace_set(seed=17, m=200)
+    honest = NearEdgeServer(("127.0.0.1", 0), ts, pm, 2)
+    timeout, retries = 0.5, 1
+    start = time.monotonic()
+    try:
+        with scripted_server(lambda msg: lie(honest.answer(msg))) as (addr, accepted):
+            with pytest.raises(error, match=match):
+                run_edge_client(addr, ts.edge, pm, 1.0, 2, timeout=timeout, retries=retries)
+            elapsed = time.monotonic() - start
+    finally:
+        honest.shutdown()
+    # A refusal is final; a transport failure is retried, each attempt bounded.
+    assert len(accepted) == (1 if error is ProtocolError else retries + 1)
+    assert elapsed < (retries + 1) * timeout + 1.0
 
 
 def test_delayed_proxy_exit_closes_its_connections():
