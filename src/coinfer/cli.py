@@ -27,6 +27,8 @@ from .router import collaborative_infer
 from .schedule import DistillBatch, WeightSchedule, weighted_distill_loss
 from .trace import (
     TraceTargets,
+    check_logits,
+    load_edge_trace,
     load_trace_set,
     synthesize_trace_set,
     write_trace_set,
@@ -59,6 +61,7 @@ def _cmd_simulate(args) -> int:
     pm = load_partition_spec(args.partitions)
     ts = load_trace_set(args.manifest, pm, args.k)
     outcome = collaborative_infer(ts, pm, args.tau, args.k, mask_to_domain=args.mask_to_domain)
+    check_logits(ts.near_generalist)  # unused here, but refused when bad, as by sweep
     _print_outcome(outcome, args.dump_predictions)
     return 0
 
@@ -97,10 +100,13 @@ def _cmd_serve(args) -> int:
     addr = _addr(args.listen)
     pm = load_partition_spec(args.partitions)
     ts = load_trace_set(args.manifest, pm, args.k)
+    check_logits(ts.near_generalist)  # unused here, but refused when bad, as by sweep
+    experts = len(ts.experts)
     server = NearEdgeServer(addr, ts, pm, args.k, mask_to_domain=args.mask_to_domain)
+    del ts  # the server keeps only its prediction table
     host, port = server.address
     print(f"near-edge server listening on {host}:{port} "
-          f"({len(ts.experts)} experts, k={args.k})")
+          f"({experts} experts, k={args.k})")
     try:
         server.serve_forever()
     except KeyboardInterrupt:
@@ -113,9 +119,8 @@ def _cmd_serve(args) -> int:
 def _cmd_client(args) -> int:
     addr = _addr(args.server)
     pm = load_partition_spec(args.partitions)
-    ts = load_trace_set(args.manifest)
     outcome = run_edge_client(
-        addr, ts.edge, pm, args.tau, args.k,
+        addr, load_edge_trace(args.manifest), pm, args.tau, args.k,
         timeout=args.timeout, retries=args.retries,
     )
     _print_outcome(outcome, args.dump_predictions)
@@ -160,10 +165,8 @@ def _cmd_validate(args) -> int:
         print(f"OK partitions: {pm.num_partitions} partitions over {pm.num_classes} classes")
         checked = True
     if args.manifest:
-        if pm is not None:
-            ts = load_trace_set(args.manifest, pm, args.k)
-        else:
-            ts = load_trace_set(args.manifest)
+        ts = load_trace_set(args.manifest, pm, args.k)  # coverage checked given pm
+        check_logits(*ts.experts.values(), ts.near_generalist)
         print(f"OK manifest: {ts.num_samples} samples, {ts.num_classes} classes, "
               f"{len(ts.experts)} experts"
               + (" (coverage checked)" if pm is not None else ""))

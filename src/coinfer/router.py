@@ -20,7 +20,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .partition import DomainSet, PartitionMap
-from .trace import PredictionTrace, TraceSet, softmax_and_confidence, topk_matrix
+from .trace import PredictionTrace, TraceFile, TraceSet, softmax_and_confidence, topk_matrix
 
 __all__ = [
     "RoutingPrimitives",
@@ -31,6 +31,9 @@ __all__ = [
     "collaborative_infer",
     "offload_proportion_curve",
 ]
+
+# Edge rows per block of the gate, whose float64 softmax is 8 bytes per logit.
+_GATE_ROWS = 4096
 
 
 def check_threshold(threshold: float):
@@ -56,6 +59,19 @@ def expert_argmax(logits: np.ndarray, allowed: np.ndarray | None = None) -> np.n
     if allowed is None:
         return logits.argmax(axis=-1)
     return allowed[logits[..., allowed].argmax(axis=-1)]
+
+
+def refine(expert: PredictionTrace | TraceFile, rows: np.ndarray, allowed=None) -> np.ndarray:
+    """:func:`expert_argmax` at the ascending ``rows``, over each of ``expert.blocks()``.
+
+    Every block is read, so a bad file is refused even when ``rows`` is empty.
+    """
+    out = np.empty(len(rows), dtype=np.int64)
+    for start, block in expert.blocks():
+        lo, hi = np.searchsorted(rows, (start, start + len(block)))
+        picked = block if hi - lo == len(block) else block[rows[lo:hi] - start]
+        out[lo:hi] = expert_argmax(picked, allowed)
+    return out
 
 
 @dataclass(frozen=True, eq=False)
@@ -96,8 +112,14 @@ def gate_signals(
     client can run it locally and leave refinement to the server.
     """
     _check_gate_params(0.0, k, edge_trace.num_classes)
-    probs, conf = softmax_and_confidence(edge_trace.logits)
-    top = topk_matrix(probs, k).astype(np.int64, copy=False)
+    m = edge_trace.num_samples
+    conf, top = np.empty(m), np.empty((m, k), dtype=np.int64)
+    # Row by row the same arithmetic, in blocks, so no M x N float64 matrix is held.
+    for start in range(0, m, _GATE_ROWS):
+        rows = slice(start, start + _GATE_ROWS)
+        probs, conf[rows] = softmax_and_confidence(edge_trace.logits[rows])
+        top[rows] = topk_matrix(probs, k)
+        del probs  # before the next block's is allocated
     local_pred = top[:, 0].copy()
 
     # One canonical row per domain: its partitions ascending, with repeats
@@ -125,11 +147,12 @@ def compute_routing_primitives(
     conf, local_pred, top, codes, table = gate_signals(ts.edge, pm, k)
     by_code = np.argsort(codes, kind="stable")
     ends = np.cumsum(np.bincount(codes, minlength=len(table)))
+    routed = dict(zip(table, np.split(by_code, ends[:-1])))
 
     refined = np.empty(ts.num_samples, dtype=np.int64)
-    for dom, rows in zip(table, np.split(by_code, ends[:-1])):
-        allowed = pm.classes_in(dom) if mask_to_domain else None
-        refined[rows] = expert_argmax(ts.experts[dom].logits[rows], allowed)
+    for dom, expert in ts.experts.items():  # each read once, routed to or not
+        rows = routed.get(dom, by_code[:0])
+        refined[rows] = refine(expert, rows, pm.classes_in(dom) if mask_to_domain else None)
 
     keep = slice(None) if order is None else order
     return RoutingPrimitives(

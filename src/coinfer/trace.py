@@ -1,9 +1,10 @@
 """Prediction traces: logit matrices standing in for deployed models.
 
 A :class:`PredictionTrace` holds an M x N float32 logit matrix plus the
-shared length-M label vector, and is the unit the router, server, and
-sweep harness consume. A :class:`TraceSet` bundles the edge generalist
-trace with one expert trace per routable domain.
+shared length-M label vector; a :class:`TraceFile` reads the logits of a
+manifest's file in row blocks at each use, and ``blocks()`` hands out
+either. A :class:`TraceSet` bundles the edge generalist trace with one
+expert trace per routable domain.
 
 Binary layout (little-endian, bit-exact, no trailing bytes):
 
@@ -31,6 +32,7 @@ from .partition import DomainSet, PartitionMap, enumerate_expert_domains
 
 __all__ = [
     "PredictionTrace",
+    "TraceFile",
     "TraceSet",
     "TraceTargets",
     "softmax_matrix",
@@ -39,6 +41,8 @@ __all__ = [
     "synthesize_trace",
     "synthesize_expert_trace",
     "synthesize_trace_set",
+    "check_logits",
+    "load_edge_trace",
     "load_trace_set",
     "write_trace_set",
 ]
@@ -47,6 +51,21 @@ __all__ = [
 # without affecting the draw sequence (the chunk size is part of the
 # documented generator contract).
 _SYNTH_CHUNK_ROWS = 16384
+
+# Rows per block when logits are read from a file or checked for finiteness.
+_BLOCK_ROWS = 8192
+
+
+def _check_finite(logits: np.ndarray, what: str, first_row: int = 0):
+    """Refuse a non-finite logit, placed in the file layout of rows from ``first_row`` on."""
+    bad = ~np.isfinite(logits)
+    if bad.any():
+        n = logits.shape[1]
+        flat = first_row * n + int(np.flatnonzero(bad.ravel())[0])
+        raise ConfigError(
+            f"{what}: non-finite logit at row {flat // n}, column {flat % n} "
+            f"(element {flat}, byte offset {flat * 4})"
+        )
 
 
 @dataclass(frozen=True)
@@ -75,13 +94,8 @@ class PredictionTrace:
                 f"{self.model_name}: label {int(labels[bad])} at row {bad} out of "
                 f"range [0, {logits.shape[1]})"
             )
-        if not np.isfinite(logits).all():
-            # Element index and byte offset in the row-major float32 logits file layout.
-            flat = int(np.flatnonzero(~np.isfinite(logits).ravel())[0])
-            raise ConfigError(
-                f"{self.model_name}: non-finite logit at row {flat // logits.shape[1]}, "
-                f"column {flat % logits.shape[1]} (element {flat}, byte offset {flat * 4})"
-            )
+        for start in range(0, logits.shape[0], _BLOCK_ROWS):
+            _check_finite(logits[start:start + _BLOCK_ROWS], self.model_name, start)
         logits.setflags(write=False)
         labels.setflags(write=False)
         object.__setattr__(self, "logits", logits)
@@ -94,6 +108,36 @@ class PredictionTrace:
     @property
     def num_classes(self) -> int:
         return self.logits.shape[1]
+
+    def blocks(self):
+        """The logits as one block, ``(0, logits)``, as :meth:`TraceFile.blocks` hands them out."""
+        yield 0, self.logits
+
+
+@dataclass(frozen=True)
+class TraceFile:
+    """A manifest's logits file, size-checked at load and read in row blocks at each use."""
+
+    model_name: str
+    path: Path
+    labels: np.ndarray  # (M,) integer class indices, shared with the edge trace
+    num_classes: int
+
+    @property
+    def num_samples(self) -> int:
+        return self.labels.shape[0]
+
+    def blocks(self):
+        """Each ``(first row, logits block)`` in order; the next block overwrites the last."""
+        buf = np.empty((min(_BLOCK_ROWS, self.num_samples), self.num_classes), dtype="<f4")
+        return _read_rows(self.path, self.num_samples, buf, self.model_name)
+
+
+def check_logits(*traces: "PredictionTrace | TraceFile | None"):
+    """Read each given trace's logits once, so that a bad file is refused; skip None."""
+    for trace in filter(None, traces):
+        for _ in trace.blocks():
+            pass
 
 
 def _check_class_count(pm: PartitionMap, num_classes: int):
@@ -113,8 +157,8 @@ class TraceSet:
     """
 
     edge: PredictionTrace
-    experts: Mapping[DomainSet, PredictionTrace]
-    near_generalist: PredictionTrace | None = None
+    experts: Mapping[DomainSet, PredictionTrace | TraceFile]
+    near_generalist: PredictionTrace | TraceFile | None = None
 
     def __post_init__(self):
         ref = self.edge
@@ -125,11 +169,11 @@ class TraceSet:
             self._check_member("near_generalist", self.near_generalist, ref)
 
     @staticmethod
-    def _check_member(name: str, trace: PredictionTrace, ref: PredictionTrace):
-        if trace.logits.shape != ref.logits.shape:
+    def _check_member(name: str, trace: PredictionTrace | TraceFile, ref: PredictionTrace):
+        shape = (trace.num_samples, trace.num_classes)
+        if shape != ref.logits.shape:
             raise ConfigError(
-                f"trace {name!r} shape {trace.logits.shape} differs from edge "
-                f"shape {ref.logits.shape}"
+                f"trace {name!r} shape {shape} differs from edge shape {ref.logits.shape}"
             )
         if not np.array_equal(trace.labels, ref.labels):
             raise ConfigError(f"trace {name!r} labels differ from edge labels")
@@ -204,20 +248,25 @@ def topk_matrix(probs: np.ndarray, k: int) -> np.ndarray:
     return top
 
 
-def topk_accuracy(trace: PredictionTrace, k: int) -> float:
-    """Fraction of samples whose label appears among the top-k classes."""
-    if k != 1:
-        top = topk_matrix(softmax_matrix(trace.logits), k)
-        return float((top == trace.labels[:, None]).any(axis=1).sum()) / trace.num_samples
-    top = trace.logits.argmax(axis=1)
-    best = np.take_along_axis(trace.logits, top[:, None], axis=1).astype(np.float64)
-    # If every other logit x < m - 1e-6 (m the top one; below a huge m, float32s are
-    # 2**28 float64 ulps apart), exp(x - m) < 1 - 4e-7 stays ~10**9 ulps under exp(0)
-    # = 1.0 through exp's and the division's few ulps of error, so the logit argmax is
-    # the probability argmax. Closer rows, e.g. [-1e-30, 0], take the probability path.
-    close = np.flatnonzero((trace.logits >= best - 1e-6).sum(axis=1) > 1)
-    top[close] = softmax_matrix(trace.logits[close]).argmax(axis=1)
-    return float((top == trace.labels).sum()) / trace.num_samples
+def topk_accuracy(trace: PredictionTrace | TraceFile, k: int) -> float:
+    """Fraction of samples whose label appears among the top-k classes, block by block."""
+    hits = 0
+    for start, logits in trace.blocks():
+        labels = trace.labels[start:start + len(logits)]
+        if k != 1:
+            top = topk_matrix(softmax_matrix(logits), k)
+            hits += int((top == labels[:, None]).any(axis=1).sum())
+            continue
+        top = logits.argmax(axis=1)
+        best = np.take_along_axis(logits, top[:, None], axis=1).astype(np.float64)
+        # If every other logit x < m - 1e-6 (m the top one; below a huge m, float32s are
+        # 2**28 float64 ulps apart), exp(x - m) < 1 - 4e-7 stays ~10**9 ulps under exp(0)
+        # = 1.0 through exp's and the division's few ulps of error, so the logit argmax is
+        # the probability argmax. Closer rows, e.g. [-1e-30, 0], take the probability path.
+        close = np.flatnonzero((logits >= best - 1e-6).sum(axis=1) > 1)
+        top[close] = softmax_matrix(logits[close]).argmax(axis=1)
+        hits += int((top == labels).sum())
+    return float(hits) / trace.num_samples
 
 
 def recall_gap(trace: PredictionTrace, k: int) -> float:
@@ -423,6 +472,14 @@ def synthesize_expert_trace(
     ``out_domain_accuracy``. Output rows are one-hot logits at the
     chosen class with the given margin.
     """
+    edge_pred = None if edge_logits is None else np.asarray(edge_logits).argmax(axis=1)
+    return _expert_trace(labels, pm, domain, seed, in_domain_accuracy, out_domain_accuracy,
+                         edge_pred, model_name, margin)
+
+
+def _expert_trace(labels, pm, domain, seed, in_domain_accuracy, out_domain_accuracy,
+                  edge_pred, model_name=None, margin=12.0) -> PredictionTrace:
+    """:func:`synthesize_expert_trace` given the edge argmax ``edge_pred`` (or None)."""
     labels = np.asarray(labels)
     num_samples = labels.shape[0]
     num_classes = pm.num_classes
@@ -434,9 +491,8 @@ def synthesize_expert_trace(
     pred = np.where(correct_in, labels, wrong)
 
     if out_domain_accuracy is None:
-        if edge_logits is None:
+        if edge_pred is None:
             raise ValueError("need edge_logits or out_domain_accuracy for off-domain rows")
-        edge_pred = np.asarray(edge_logits).argmax(axis=1)
         pred = np.where(in_domain, pred, edge_pred)
     else:
         correct_out = rng.random(num_samples) < out_domain_accuracy
@@ -472,15 +528,12 @@ def synthesize_trace_set(
         targets, num_samples, pm.num_classes,
         seed=children[0], model_name=edge_name,
     )
-    experts = {}
-    for domain, child in zip(domains, children[1:]):
-        experts[domain] = synthesize_expert_trace(
-            edge.labels, pm, domain,
-            seed=child,
-            in_domain_accuracy=expert_in_accuracy,
-            out_domain_accuracy=expert_out_accuracy,
-            edge_logits=edge.logits,
-        )
+    edge_pred = edge.logits.argmax(axis=1)
+    experts = {
+        domain: _expert_trace(edge.labels, pm, domain, child, expert_in_accuracy,
+                              expert_out_accuracy, edge_pred)
+        for domain, child in zip(domains, children[1:])
+    }
     near = None
     if near_generalist_top1 is not None:
         near = _relabel(
@@ -515,32 +568,52 @@ def _relabel(trace: PredictionTrace, labels: np.ndarray) -> PredictionTrace:
 # ---------------------------------------------------------------------------
 
 
-def _read_exact(path: Path, dtype: np.dtype, count: int, what: str) -> np.ndarray:
-    """Exactly ``count`` values from a regular file of exactly that size.
+def _check_file(path: Path, count: int, itemsize: int, what: str):
+    """Refuse anything but a regular file of exactly ``count`` values of ``itemsize`` bytes.
 
-    The file is checked before it is opened, so that a device such as
-    /dev/zero is not read without end and a FIFO does not block the open.
+    Checked before the file is opened, so that a device such as /dev/zero
+    is not read without end and a FIFO does not block the open.
     """
-    expected = count * dtype.itemsize
-    out = np.empty(count, dtype=dtype)
     try:
         info = path.stat()
-        if not stat.S_ISREG(info.st_mode):
-            raise ConfigError(f"{what} file {path} is not a regular file")
-        if info.st_size != expected:
-            raise ConfigError(
-                f"{what} file {path}: expected exactly {expected} bytes "
-                f"({count} x {dtype.itemsize}), found {info.st_size}"
-            )
-        with open(path, "rb", buffering=0) as fh:
-            view, done = memoryview(out).cast("B"), 0
-            while done < expected and (n := fh.readinto(view[done:])):
-                done += n
     except OSError as exc:
         raise ConfigError(f"cannot read {what} file {path}: {exc}") from exc
-    if done != expected:
-        raise ConfigError(f"{what} file {path}: expected {expected} bytes, read only {done}")
-    return out
+    if not stat.S_ISREG(info.st_mode):
+        raise ConfigError(f"{what} file {path} is not a regular file")
+    if info.st_size != count * itemsize:
+        raise ConfigError(
+            f"{what} file {path}: expected exactly {count * itemsize} bytes "
+            f"({count} x {itemsize}), found {info.st_size}"
+        )
+
+
+def _read_rows(path: Path, m: int, buf: np.ndarray, name: str | None = None):
+    """Each ``(first row, block)`` of a trace file of ``m`` rows laid out as the rows of ``buf``.
+
+    The labels file without ``name``, else the logits file of trace
+    ``name``, each block of which is checked finite. ``buf`` holds either
+    all m rows, which the file fills, or one block of rows, which each
+    block overwrites. The file passes :func:`_check_file` before it is
+    opened, and a short read is refused.
+    """
+    what, row_bytes = "labels" if name is None else f"logits ({name})", buf[0].nbytes
+    _check_file(path, m * row_bytes // buf.itemsize, buf.itemsize, what)
+    try:
+        with open(path, "rb", buffering=0) as fh:
+            for start in range(0, m, _BLOCK_ROWS):
+                # buf[start:] when buf holds every row, buf[0:] when it holds one block
+                block = buf[start % len(buf):][:min(_BLOCK_ROWS, m - start)]
+                view, got = memoryview(block).cast("B"), 0
+                while got < len(view) and (n := fh.readinto(view[got:])):
+                    got += n
+                if got < len(view):
+                    raise ConfigError(f"{what} file {path}: expected {m * row_bytes} bytes, "
+                                      f"read only {start * row_bytes + got}")
+                if name is not None:
+                    _check_finite(block, f"logits file {path}: {name}", start)
+                yield start, block
+    except OSError as exc:
+        raise ConfigError(f"cannot read {what} file {path}: {exc}") from exc
 
 
 _TRACE_ENTRY = {"name": "string", "logits_file": "string"}
@@ -571,23 +644,14 @@ def _check_manifest(doc) -> tuple[dict, list[DomainSet]]:
     return doc, domains
 
 
-def load_trace_set(
-    manifest_path: str | Path,
-    pm: PartitionMap | None = None,
-    k: int | None = None,
-) -> TraceSet:
-    """Load a trace manifest and its binary files, validating layout.
-
-    When ``pm`` and ``k`` are supplied, expert coverage for routing is
-    checked as well. Relative file paths resolve against the manifest's
-    directory. Every error in the manifest itself names the manifest.
-    """
-    manifest_path = Path(manifest_path)
+def _load_edge(manifest_path: Path) -> tuple[dict, list[DomainSet], PredictionTrace]:
+    """The checked manifest, its expert domains and its edge trace: the labels and edge read."""
     doc, domains = read_json(manifest_path, "manifest", _check_manifest)
     n, m = doc["num_classes"], doc["num_samples"]
     base = manifest_path.parent  # an absolute file path replaces it
-
-    labels32 = _read_exact(base / doc["labels_file"], np.dtype("<u4"), m, "labels")
+    labels32, logits = np.empty(m, dtype="<u4"), np.empty((m, n), dtype="<f4")
+    for _ in _read_rows(base / doc["labels_file"], m, labels32):
+        pass
     labels = labels32.astype(np.int64)
     if labels.size and labels.max() >= n:
         bad = int(np.flatnonzero(labels >= n)[0])
@@ -595,21 +659,40 @@ def load_trace_set(
             f"labels file {doc['labels_file']}: label {int(labels[bad])} at row {bad} "
             f"out of range [0, {n})"
         )
+    name = doc["edge"]["name"]
+    for _ in _read_rows(base / doc["edge"]["logits_file"], m, logits, name):
+        pass
+    return doc, domains, PredictionTrace(model_name=name, logits=logits, labels=labels)
 
-    def load_entry(entry) -> PredictionTrace:
-        path = base / entry["logits_file"]
-        flat = _read_exact(path, np.dtype("<f4"), m * n, f"logits ({entry['name']})")
-        try:
-            return PredictionTrace(
-                model_name=entry["name"], logits=flat.reshape(m, n), labels=labels
-            )
-        except ConfigError as exc:  # the trace's own checks, e.g. a non-finite logit
-            raise ConfigError(f"logits file {path}: {exc}") from None
 
-    edge = load_entry(doc["edge"])
-    experts = {domain: load_entry(entry) for domain, entry in zip(domains, doc["experts"])}
-    near = load_entry(doc["near_generalist"]) if "near_generalist" in doc else None
+def load_edge_trace(manifest_path: str | Path) -> PredictionTrace:
+    """A manifest's edge trace; of its binary files, only the labels and edge are read."""
+    return _load_edge(Path(manifest_path))[2]
 
+
+def load_trace_set(
+    manifest_path: str | Path,
+    pm: PartitionMap | None = None,
+    k: int | None = None,
+) -> TraceSet:
+    """Load a trace manifest, its labels and its edge trace, validating layout.
+
+    Each expert and near-generalist file is checked for type and size and
+    becomes a :class:`TraceFile`, read at each use. When ``pm`` and ``k``
+    are supplied, expert coverage for routing is checked as well. Relative
+    file paths resolve against the manifest's directory. Every error in
+    the manifest itself names the manifest.
+    """
+    manifest_path = Path(manifest_path)
+    doc, domains, edge = _load_edge(manifest_path)
+
+    def entry(e) -> TraceFile:
+        path = manifest_path.parent / e["logits_file"]
+        _check_file(path, edge.logits.size, 4, f"logits ({e['name']})")
+        return TraceFile(e["name"], path, edge.labels, edge.num_classes)
+
+    experts = {domain: entry(e) for domain, e in zip(domains, doc["experts"])}
+    near = entry(doc["near_generalist"]) if "near_generalist" in doc else None
     ts = TraceSet(edge=edge, experts=experts, near_generalist=near)
     if pm is not None and k is not None:
         ts.validate_for(pm, k)
@@ -620,10 +703,12 @@ def write_trace_set(ts: TraceSet, out_dir: str | Path) -> Path:
     """Write a trace set as manifest + binary files; returns the manifest path."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    (out / "labels.bin").write_bytes(ts.labels.astype("<u4").tobytes())
+    ts.labels.astype("<u4").tofile(out / "labels.bin")
 
-    def dump(trace: PredictionTrace, fname: str) -> str:
-        (out / fname).write_bytes(trace.logits.astype("<f4").tobytes())
+    def dump(trace: PredictionTrace | TraceFile, fname: str) -> str:
+        with open(out / fname, "wb") as fh:
+            for _, block in trace.blocks():
+                block.astype("<f4", copy=False).tofile(fh)
         return fname
 
     manifest = {

@@ -39,8 +39,8 @@ from .router import (
     RoutingPrimitives,
     apply_gate,
     check_threshold,
-    expert_argmax,
     gate_signals,
+    refine,
 )
 from .trace import PredictionTrace, TraceSet, _check_class_count
 
@@ -452,10 +452,11 @@ def _answer_frames(buf: bytearray, answer) -> tuple[bytearray, bool]:
 
 
 class NearEdgeServer:
-    """Expert registry behind a TCP listener.
+    """Expert predictions behind a TCP listener.
 
-    Holds the expert traces, recomputes each request's domain from its
-    top-k indices, and answers with the selected expert's prediction.
+    Before it binds, builds an (M x E) table of every expert's prediction
+    for every sample, and keeps no logits. Each request's domain is
+    recomputed from its top-k indices and answered from its column.
     Raw-payload requests fail with an internal error, since a trace
     server has nothing to run on opaque bytes. ``shutdown()`` returns at
     once and closes the connections still open.
@@ -470,18 +471,15 @@ class NearEdgeServer:
         mask_to_domain: bool = False,
     ):
         ts.validate_for(pm, k)
-        self.ts = ts
-        # Everything a request needs that depends only on the expert library,
-        # keyed by the sorted partition tuple of a routed domain.
+        self._num_classes, rows = ts.num_classes, np.arange(ts.num_samples)
         self._class_partition = pm.assignment.tolist()
-        self._routes = {
-            domain.indices: (
-                domain,
-                expert.logits,
-                pm.classes_in(domain) if mask_to_domain else None,
-            )
-            for domain, expert in ts.experts.items()
-        }
+        self._table = np.empty((len(rows), len(ts.experts)), np.min_scalar_type(ts.num_classes))
+        # The domain and its table column, by the sorted partition tuple of the domain.
+        self._columns = {}
+        for column, (domain, expert) in enumerate(ts.experts.items()):
+            allowed = pm.classes_in(domain) if mask_to_domain else None
+            self._table[:, column] = refine(expert, rows, allowed)
+            self._columns[domain.indices] = (domain, column)
         self._acceptor = _Acceptor(listen_addr, self._serve_connection)
 
     @property
@@ -519,7 +517,7 @@ class NearEdgeServer:
     def answer(self, req: OffloadRequest) -> Message:
         """Pure request-to-response mapping; shared by every connection."""
         started = time.perf_counter_ns()
-        n = self.ts.num_classes
+        n = self._num_classes
         if max(req.topk) >= n:
             return ErrorMsg(
                 request_id=req.request_id,
@@ -528,7 +526,7 @@ class NearEdgeServer:
             )
         part = self._class_partition
         key = tuple(sorted({part[c] for c in req.topk}))
-        route = self._routes.get(key)
+        route = self._columns.get(key)
         if route is None:
             return ErrorMsg(
                 request_id=req.request_id,
@@ -542,15 +540,15 @@ class NearEdgeServer:
                 code=ERR_INTERNAL,
                 message="this server is trace-backed and cannot run raw payloads",
             )
-        if req.sample_index >= self.ts.num_samples:
+        if req.sample_index >= len(self._table):
             return ErrorMsg(
                 request_id=req.request_id,
                 code=ERR_UNKNOWN_SAMPLE,
                 message=f"sample index {req.sample_index} outside trace "
-                f"({self.ts.num_samples} samples)",
+                f"({len(self._table)} samples)",
             )
-        domain, logits, allowed = route
-        predicted = int(expert_argmax(logits[req.sample_index], allowed))
+        domain, column = route
+        predicted = int(self._table[req.sample_index, column])
 
         elapsed_us = min((time.perf_counter_ns() - started) // 1000, _U32_MAX)
         return OffloadResponse(

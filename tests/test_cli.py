@@ -2,7 +2,10 @@ import copy
 import functools
 import json
 import operator
+import os
 import re
+import resource
+import shutil
 import signal
 import socket
 import subprocess
@@ -410,6 +413,87 @@ def test_every_reader_refuses_a_bad_document_naming_file_and_key(
         err = capsys.readouterr().err
     assert bad in err
     assert named in err
+
+
+def _nan_in_last_row(path):
+    """A NaN at column 5 of the last of the workspace's 300 rows of 8 logits."""
+    raw = bytearray(path.read_bytes())
+    raw[-12:-8] = np.array([np.nan], dtype="<f4").tobytes()
+    path.write_bytes(bytes(raw))
+
+
+def _fifo(path):
+    path.unlink()
+    os.mkfifo(path)
+
+
+_NAN_AT = "non-finite logit at row 299, column 5 (element 2397, byte offset 9588)"
+# defect -> (trace file, routing k, how the file is broken, what the error must say)
+LOGIT_DEFECTS = {
+    "expert-one-byte-short": ("expert_1_2.bin", 2, lambda p: p.write_bytes(p.read_bytes()[:-1]),
+                              "expected exactly 9600 bytes (2400 x 4), found 9599"),
+    "expert-one-byte-long": ("expert_1_2.bin", 2, lambda p: p.write_bytes(p.read_bytes() + b"x"),
+                             "expected exactly 9600 bytes (2400 x 4), found 9601"),
+    "expert-nan-in-last-block": ("expert_1_2.bin", 2, _nan_in_last_row, _NAN_AT),
+    # At k=1 no sample routes to the 1+2 expert, yet its file is read.
+    "unrouted-expert-nan-in-last-block": ("expert_1_2.bin", 1, _nan_in_last_row, _NAN_AT),
+    "expert-fifo": ("expert_1_2.bin", 2, _fifo, "is not a regular file"),
+    "near-generalist-nan": ("near_generalist.bin", 2, _nan_in_last_row, _NAN_AT),
+}
+
+
+def _limit_memory():
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+
+@pytest.mark.parametrize("defect", list(LOGIT_DEFECTS))
+def test_every_reader_of_a_logits_file_refuses_it_alike(
+    workspace, tmp_path, capsys, monkeypatch, defect
+):
+    """validate, simulate, sweep and serve exit 2 with one message; client, which reads
+    only the labels and the edge trace, gives simulate's predictions. Logits are read in
+    blocks of 64 rows, so row 299 lies in a short last block. A FIFO is tried in children
+    with 1 GiB of address space and a timeout, so that a blocking open fails the test."""
+    name, k, breaks, named = LOGIT_DEFECTS[defect]
+    traces = tmp_path / "traces"
+    shutil.copytree(workspace / "traces", traces)
+    bad = traces / name
+    breaks(bad)
+    monkeypatch.setattr("coinfer.trace._BLOCK_ROWS", 64)
+    monkeypatch.setattr(NearEdgeServer, "serve_forever", _not_reached)
+    config = tmp_path / "sweep.json"
+    config.write_text(json.dumps({**_sweep_doc(workspace, traces / "manifest.json"), "k": k}))
+    inputs = ["--manifest", str(traces / "manifest.json"),
+              "--partitions", str(workspace / "partitions.json"), "--k", str(k)]
+
+    def run(argv):
+        if defect != "expert-fifo":
+            rc = main(argv)
+            return rc, *capsys.readouterr()
+        proc = subprocess.run([sys.executable, "-m", "coinfer.cli", *argv], capture_output=True,
+                              text=True, timeout=30, preexec_fn=_limit_memory)
+        return proc.returncode, proc.stdout, proc.stderr
+
+    errors = []
+    for argv in (["validate", *inputs], ["simulate", *inputs, "--tau", "0.9"],
+                 ["sweep", "--config", str(config), "--output", str(tmp_path / "r")],
+                 ["serve", "--listen", "127.0.0.1:0", *inputs]):
+        rc, out, err = run(argv)
+        assert (rc, "listening" in out) == (2, False), (argv[0], out, err)
+        errors.append(err)
+    assert errors == [errors[0]] * 4
+    assert str(bad) in errors[0] and named in errors[0]
+
+    pm = load_partition_map(workspace / "partitions.json")
+    good = load_trace_set(workspace / "traces" / "manifest.json", pm, k)
+    dump = tmp_path / "client.bin"
+    with NearEdgeServer(("127.0.0.1", 0), good, pm, k) as server:
+        host, port = server.address
+        rc, out, err = run(["client", "--server", f"{host}:{port}", *inputs, "--tau", "0.9",
+                            "--dump-predictions", str(dump)])
+    assert rc == 0, err
+    want = collaborative_infer(good, pm, 0.9, k).predictions
+    assert np.array_equal(np.frombuffer(dump.read_bytes(), dtype="<u4"), want)
 
 
 def test_sweep_flag_form_writes_reports(workspace, capsys):

@@ -4,12 +4,14 @@ import os
 import resource
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from coinfer.errors import ConfigError
+from coinfer.harness import SweepConfig, run_sweep
 from coinfer.partition import DomainSet, enumerate_expert_domains
 from coinfer.trace import (
     PredictionTrace,
@@ -27,6 +29,7 @@ from coinfer.trace import (
     topk_matrix,
     write_trace_set,
 )
+from coinfer.wire import NearEdgeServer
 from conftest import lattice_logits, make_partition_map
 
 
@@ -241,7 +244,15 @@ def test_synthesize_trace_set_covers_all_domains():
     ts.validate_for(pm, 2)
 
 
-def test_trace_set_round_trips_through_manifest(tmp_path):
+def read_all(trace):
+    """A trace's whole logit matrix, gathered from its blocks (each copied before the
+    next overwrites it), with the first row of each block."""
+    starts, blocks = zip(*((start, block.copy()) for start, block in trace.blocks()))
+    return np.concatenate(blocks), list(starts)
+
+
+def test_trace_set_round_trips_through_manifest(tmp_path, monkeypatch):
+    monkeypatch.setattr("coinfer.trace._BLOCK_ROWS", 5)
     pm = make_partition_map(6, 3)
     ts = synthesize_trace_set(
         TraceTargets(topk_acc={1: 0.5}), pm, 2, 64, seed=2, near_generalist_top1=0.9
@@ -252,9 +263,11 @@ def test_trace_set_round_trips_through_manifest(tmp_path):
     assert np.array_equal(loaded.labels, ts.labels)
     assert set(loaded.experts) == set(ts.experts)
     for dom in ts.experts:
-        assert np.array_equal(loaded.experts[dom].logits, ts.experts[dom].logits)
+        logits, starts = read_all(loaded.experts[dom])
+        assert np.array_equal(logits, ts.experts[dom].logits)
+        assert starts == list(range(0, 64, 5))  # the last block holds 4 rows
     assert loaded.near_generalist is not None
-    assert np.array_equal(loaded.near_generalist.logits, ts.near_generalist.logits)
+    assert np.array_equal(read_all(loaded.near_generalist)[0], ts.near_generalist.logits)
 
 
 def test_loader_rejects_trailing_bytes(tmp_path):
@@ -366,3 +379,38 @@ def test_synthetic_rows_are_valid_distributions(n, seed, top1):
     probs = softmax_matrix(trace.logits)
     np.testing.assert_allclose(probs.sum(axis=1), 1.0, rtol=1e-9)
     assert np.isfinite(trace.logits).all()
+
+
+def _traced_peak(fn) -> int:
+    """Peak bytes that ``fn()`` holds at once, counting only what it allocates."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_neither_the_server_nor_a_sweep_holds_the_expert_library(tmp_path):
+    """14 experts of 2.4 MB each: loading plus the server's table, and a sweep from the
+    manifest, each stay under three expert files' worth (the edge trace is one)."""
+    pm = make_partition_map(20, 4)
+    groups = [list(range(p, 20, 4)) for p in range(4)]
+    (tmp_path / "partitions.json").write_text(json.dumps({"num_classes": 20, "partitions": groups}))
+    ts = synthesize_trace_set(TraceTargets(topk_acc={1: 0.6, 2: 0.8}), pm, 3, 30_000, seed=5,
+                              near_generalist_top1=0.7)
+    manifest = write_trace_set(ts, tmp_path / "traces")
+    expert_bytes = (tmp_path / "traces" / "expert_1.bin").stat().st_size
+    assert (len(ts.experts), expert_bytes) == (14, 2_400_000)
+    del ts
+
+    def serve():
+        NearEdgeServer(("127.0.0.1", 0), load_trace_set(manifest, pm, 3), pm, 3).shutdown()
+
+    cfg = SweepConfig(
+        thresholds=(0.9, 0.5), k=3, partitions=str(tmp_path / "partitions.json"),
+        manifest=str(manifest), profiles="builtin",
+        edge_profile=("rpi5", "deit-3h"), near_profile=("agx-orin", "deit-6h"),
+    )
+    assert _traced_peak(serve) < 3 * expert_bytes
+    assert _traced_peak(lambda: run_sweep(cfg)) < 3 * expert_bytes
